@@ -147,10 +147,11 @@ func BenchmarkFig7Par(b *testing.B) { benchFigPar(b, "2callH") }
 // BenchmarkProvenance measures the solver cost of derivation-witness
 // recording (pta.Options.Provenance) on the largest suite benchmark:
 // "off" is the default figure configuration (the recorder reduces to
-// one nil check per derived fact), "on" pays for element-wise
-// propagation plus the witness table. scripts/bench.sh records both, so
-// a regression in the disabled path shows up as Provenance/off drifting
-// from the Fig benchmarks' historical work-per-nanosecond.
+// one nil check per changed word), "on" appends one witness record per
+// changed word on the same kernels. scripts/bench.sh records both and
+// gates that their work is identical and that on stays within 3x of
+// off; a regression in the disabled path shows up as Provenance/off
+// drifting from the Fig benchmarks' historical work-per-nanosecond.
 func BenchmarkProvenance(b *testing.B) {
 	prog, err := suite.Load("jython")
 	if err != nil {

@@ -124,14 +124,14 @@ func run() error {
 	maxDeadline := flag.Duration("max-deadline", 5*time.Minute, "maximum per-request deadline")
 	budget := flag.Int64("budget", 0, "default per-pass work budget (0 = solver default, <0 = unlimited)")
 	snapEvery := flag.Int64("snap-every", 0, "solver work units between progress snapshots (0 = service default, <0 = solver default)")
-	debugAddr := flag.String("debug-addr", "", "if set, serve pprof and /debug/trace on this second listener (e.g. 127.0.0.1:0)")
+	debugListen := flag.String("debug-addr", "", "if set, serve pprof and /debug/trace on this second listener (e.g. 127.0.0.1:0)")
 	traceRing := flag.Int("trace-ring", 0, "debug trace ring capacity in spans (0 = default)")
 	flag.Parse()
 
 	// The solve tracer feeds /debug/trace; only pay for it when a debug
 	// listener will serve it.
 	var tracer *obs.Tracer
-	if *debugAddr != "" {
+	if *debugListen != "" {
 		tracer = obs.NewTracer(*traceRing)
 	}
 
@@ -181,8 +181,8 @@ func run() error {
 	go func() { errc <- srv.Serve(ln) }()
 
 	var debugSrv *http.Server
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
+	if *debugListen != "" {
+		dln, err := net.Listen("tcp", *debugListen)
 		if err != nil {
 			return fmt.Errorf("debug listener: %w", err)
 		}

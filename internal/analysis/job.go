@@ -52,7 +52,8 @@ type Job struct {
 	// serial-keyed cache entry's Work numbers for a parallel request).
 	// Values outside [0, pta.MaxWorkers] are rejected by Validate with
 	// an *InvalidWorkersError. Parallel workers are incompatible with
-	// provenance recording, which needs element-wise propagation.
+	// provenance recording: cross-shard merges combine facts from many
+	// source nodes, so they cannot record a fact's first derivation.
 	Workers int `json:"workers,omitempty"`
 
 	// Taint, if non-nil, runs the job as a unified taint analysis

@@ -91,40 +91,20 @@ func (s *Set) Clear() {
 	s.off = 0
 }
 
-// UnionInto adds every element of src to s and appends each newly added
-// element to delta. It returns the extended delta slice. This is the
-// per-element form of the solver's difference-propagation primitive.
-func (s *Set) UnionInto(src *Set, delta []int32) []int32 {
-	n := len(src.words)
-	if n == 0 {
-		return delta
-	}
-	s.reserve(src.off, src.off+n)
-	so := src.off - s.off
-	for i, sw := range src.words {
-		diff := sw &^ s.words[i+so]
-		if diff == 0 {
-			continue
-		}
-		s.words[i+so] |= diff
-		base := int32((i + src.off) * wordBits)
-		for diff != 0 {
-			b := bits.TrailingZeros64(diff)
-			delta = append(delta, base+int32(b))
-			diff &^= 1 << uint(b)
-		}
-	}
-	return delta
-}
-
-// unionWords is the word-parallel union kernel behind the UnionWords*
-// family: it ORs the elements of src — minus the elements of skip,
-// intersected with mask, when those are non-nil — into s, ORs the bits
-// that were actually new to s into delta, and returns the number of new
-// bits plus the number of candidate elements scanned (src minus skip,
-// before the mask is applied — the count a per-element propagation loop
-// would have touched, which the solver charges its work budget for).
-func (s *Set) unionWords(src, skip, mask, delta *Set) (added, scanned int) {
+// UnionWords is the solver's difference-propagation kernel. It ORs the
+// elements of src — minus the elements of skip, intersected with mask,
+// when those are non-nil — into s a whole 64-bit word at a time, ORs
+// the bits that were actually new to s into delta, and returns the
+// number of new bits plus the number of candidate elements scanned
+// (src minus skip, before the mask is applied — the count a
+// per-element propagation loop would have touched, which the solver
+// charges its work budget for).
+//
+// visit, if non-nil, is called once for each word that gained bits,
+// with the word's index (element x lives in word x/64) and the new
+// bits; the solver's provenance recorder hooks in here. A nil visit
+// costs one check per changed word.
+func (s *Set) UnionWords(src, skip, mask, delta *Set, visit func(word int, bits uint64)) (added, scanned int) {
 	n := len(src.words)
 	if n == 0 {
 		return 0, 0
@@ -159,49 +139,20 @@ func (s *Set) unionWords(src, skip, mask, delta *Set) (added, scanned int) {
 		sw[i+so] |= diff
 		dw[i+do] |= diff
 		added += bits.OnesCount64(diff)
+		if visit != nil {
+			visit(i+src.off, diff)
+		}
 	}
 	return added, scanned
-}
-
-// UnionWordsInto ORs every element of src into s a whole word at a
-// time, records the elements that were new to s in delta, and returns
-// how many there were. It is the batched form of calling Add for each
-// element of src while appending the successful ones to a delta set —
-// the solver's word-parallel difference-propagation primitive.
-func (s *Set) UnionWordsInto(src, delta *Set) (added int) {
-	added, _ = s.unionWords(src, nil, nil, delta)
-	return added
-}
-
-// UnionWordsMaskedInto is UnionWordsInto restricted to the elements of
-// src that are also in mask (the solver's cached filter verdicts).
-func (s *Set) UnionWordsMaskedInto(src, mask, delta *Set) (added int) {
-	added, _ = s.unionWords(src, nil, mask, delta)
-	return added
-}
-
-// UnionWordsDiffInto is UnionWordsInto restricted to the elements of
-// src that are NOT in skip. It returns the new-element count and the
-// number of src-minus-skip elements scanned.
-func (s *Set) UnionWordsDiffInto(src, skip, delta *Set) (added, scanned int) {
-	return s.unionWords(src, skip, nil, delta)
-}
-
-// UnionWordsDiffMaskedInto combines UnionWordsDiffInto and
-// UnionWordsMaskedInto: elements of src minus skip, intersected with
-// mask. scanned counts src-minus-skip elements before the mask.
-func (s *Set) UnionWordsDiffMaskedInto(src, skip, mask, delta *Set) (added, scanned int) {
-	return s.unionWords(src, skip, mask, delta)
 }
 
 // OrDiffMasked ORs into s the elements of src that are not in skip,
 // intersected with mask (skip and mask may each be nil), and returns
 // the number of src-minus-skip elements scanned before the mask is
-// applied — the same count the UnionWords* kernels report. Unlike
-// those kernels it tracks no delta and reports no added count: it is
-// the accumulation primitive for the parallel solver's outbox sets,
-// where newness is judged by the owning shard at merge time, not by
-// the sender.
+// applied — the same count UnionWords reports. Unlike UnionWords it
+// tracks no delta and reports no added count: it is the accumulation
+// primitive for the parallel solver's outbox sets, where newness is
+// judged by the owning shard at merge time, not by the sender.
 func (s *Set) OrDiffMasked(src, skip, mask *Set) (scanned int) {
 	n := len(src.words)
 	if n == 0 {

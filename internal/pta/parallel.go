@@ -109,18 +109,17 @@ type parShard struct {
 	// the next control phase.
 	events []parEvent
 
-	// spares recycles drained delta sets, like solver.spares but
-	// shard-local.
-	spares []bits.Set
+	// spares is the shard-local delta pool.
+	spares deltaPool
 	// filters is a shard-local filter-verdict cache (same contents as
 	// solver.filters eventually, duplicated to stay lock-free).
 	filters map[ir.TypeID]*filterCache
 
 	// Per-round counters, merged into the solver's at the barrier in
 	// shard-id order.
-	work, derivations, propagations int64
-	pops                            int64
-	ctxErr                          error
+	tally
+	pops   int64
+	ctxErr error
 }
 
 // parRuntime is the per-solve state of the parallel mode; solver.par
@@ -201,9 +200,7 @@ func (s *solver) controlPhase() bool {
 			par.events[par.evNext] = parEvent{}
 			par.evNext++
 			s.processUses(ev.n, &ev.d)
-			ev.d.Clear()
-			sh := &par.shards[par.shardOf[ev.n]]
-			sh.spares = append(sh.spares, ev.d)
+			par.shards[par.shardOf[ev.n]].spares.put(ev.d)
 			continue
 		}
 		par.events = par.events[:0]
@@ -307,38 +304,18 @@ func (s *solver) shardRound(sh *parShard, cap int64) {
 // Work accounting matches the serial install scan exactly — one unit
 // per scanned element plus one per new fact.
 func (s *solver) shardNewEdge(sh *parShard, e parEdge) {
-	var mask *bits.Set
-	if e.filter != ir.None {
-		mask = sh.filterMask(s, e.filter, &s.pt[e.src])
-	}
-	if int(s.par.shardOf[e.dst]) == sh.id {
-		var added, scanned int
-		if mask == nil {
-			added, scanned = s.pt[e.dst].UnionWordsDiffInto(&s.pt[e.src], &s.delta[e.src], &s.delta[e.dst])
-		} else {
-			added, scanned = s.pt[e.dst].UnionWordsDiffMaskedInto(&s.pt[e.src], &s.delta[e.src], mask, &s.delta[e.dst])
-		}
-		sh.work += int64(scanned) + int64(added)
-		sh.propagations += int64(scanned)
-		if added > 0 {
-			s.ptLen[e.dst] += int32(added)
-			s.deltaLen[e.dst] += int32(added)
-			sh.derivations += int64(added)
-			sh.push(s, e.dst)
-		}
-		return
-	}
-	set := sh.outboxSet(int(s.par.shardOf[e.dst]), e.dst)
-	scanned := set.OrDiffMasked(&s.pt[e.src], &s.delta[e.src], mask)
-	sh.work += int64(scanned)
-	sh.propagations += int64(scanned)
+	mask := s.filterMask(sh.filters, e.filter, &s.pt[e.src])
+	sh.propagate(s, e.dst, &s.pt[e.src], &s.delta[e.src], mask, e.src)
 }
 
 // shardMerge applies one inbox message: facts another shard propagated
 // toward an owned node. The newly added count is charged as derivation
-// work here, by the owner — the sender already charged the scan.
+// work here, by the owner — the sender already charged the scan. The
+// message merges facts from every sender-side source of the round, so
+// there is no single source node to record; that is why provenance
+// requires a serial solve.
 func (s *solver) shardMerge(sh *parShard, msg inMsg) {
-	if added := s.pt[msg.n].UnionWordsInto(&msg.set, &s.delta[msg.n]); added > 0 {
+	if added, _ := s.pt[msg.n].UnionWords(&msg.set, nil, nil, &s.delta[msg.n], nil); added > 0 {
 		s.ptLen[msg.n] += int32(added)
 		s.deltaLen[msg.n] += int32(added)
 		sh.work += int64(added)
@@ -353,44 +330,35 @@ func (s *solver) shardMerge(sh *parShard, msg inMsg) {
 // outbox otherwise), then hand the batch to the control phase if n has
 // registered uses.
 func (s *solver) shardFlush(sh *parShard, n int32) {
-	dc := int64(s.deltaLen[n])
-	d := sh.takeDelta(s, n)
-	if dc == 0 {
-		sh.recycle(d)
+	empty := s.deltaLen[n] == 0
+	d := sh.spares.take(s, n)
+	if empty {
+		sh.spares.put(d)
 		return
 	}
 	for _, e := range s.succs[n] {
-		sh.work += dc
-		sh.propagations += dc
-		var mask *bits.Set
-		if e.filter != ir.None {
-			mask = sh.filterMask(s, e.filter, &d)
-		}
-		if int(s.par.shardOf[e.dst]) == sh.id {
-			var added int
-			if mask == nil {
-				added = s.pt[e.dst].UnionWordsInto(&d, &s.delta[e.dst])
-			} else {
-				added = s.pt[e.dst].UnionWordsMaskedInto(&d, mask, &s.delta[e.dst])
-			}
-			if added > 0 {
-				s.ptLen[e.dst] += int32(added)
-				s.deltaLen[e.dst] += int32(added)
-				sh.work += int64(added)
-				sh.derivations += int64(added)
-				sh.push(s, e.dst)
-			}
-			continue
-		}
-		set := sh.outboxSet(int(s.par.shardOf[e.dst]), e.dst)
-		set.OrDiffMasked(&d, nil, mask)
+		sh.propagate(s, e.dst, &d, nil, s.filterMask(sh.filters, e.filter, &d), n)
 	}
 	if s.kind[n] == varNode &&
 		len(s.loadUses[n])+len(s.storeUses[n])+len(s.callUses[n]) > 0 {
 		sh.events = append(sh.events, parEvent{n: n, d: d})
 		return
 	}
-	sh.recycle(d)
+	sh.spares.put(d)
+}
+
+// propagate moves src (minus skip, within mask) toward node dst: with
+// solver.flow when the shard owns dst, otherwise into dst's outbox set,
+// charging the scan now and leaving the new-fact charge to the owner's
+// merge.
+func (sh *parShard) propagate(s *solver, dst int32, src, skip, mask *bits.Set, from int32) {
+	if int(s.par.shardOf[dst]) == sh.id {
+		s.flow(&sh.tally, dst, src, skip, mask, from)
+		return
+	}
+	scanned := sh.outboxSet(int(s.par.shardOf[dst]), dst).OrDiffMasked(src, skip, mask)
+	sh.work += int64(scanned)
+	sh.propagations += int64(scanned)
 }
 
 // push queues an owned node on the shard's local worklist. Only the
@@ -401,41 +369,6 @@ func (sh *parShard) push(s *solver, n int32) {
 		s.inWL[n] = true
 		sh.wl = append(sh.wl, n)
 	}
-}
-
-// takeDelta / recycle mirror the solver's delta recycling with a
-// shard-local spare pool.
-func (sh *parShard) takeDelta(s *solver, n int32) bits.Set {
-	d := s.delta[n]
-	s.deltaLen[n] = 0
-	if k := len(sh.spares); k > 0 {
-		s.delta[n] = sh.spares[k-1]
-		sh.spares = sh.spares[:k-1]
-	} else {
-		s.delta[n] = bits.Set{}
-	}
-	return d
-}
-
-func (sh *parShard) recycle(d bits.Set) {
-	d.Clear()
-	sh.spares = append(sh.spares, d)
-}
-
-// filterMask is solver.filterMask against the shard-local cache.
-func (sh *parShard) filterMask(s *solver, filter ir.TypeID, d *bits.Set) *bits.Set {
-	fc := sh.filters[filter]
-	if fc == nil {
-		fc = &filterCache{}
-		sh.filters[filter] = fc
-	}
-	d.ForEachDiff(&fc.known, func(hc int32) {
-		fc.known.Add(hc)
-		if s.prog.SubtypeOf(s.prog.HeapType(s.hcHeap[hc]), filter) {
-			fc.pass.Add(hc)
-		}
-	})
-	return &fc.pass
 }
 
 // outboxSet returns the accumulation set for facts bound to node n on
@@ -471,7 +404,7 @@ func (s *solver) barrier() bool {
 		s.derivations += sh.derivations
 		s.propagations += sh.propagations
 		s.popCount += int(sh.pops)
-		sh.work, sh.derivations, sh.propagations, sh.pops = 0, 0, 0, 0
+		sh.tally, sh.pops = tally{}, 0
 		if sh.ctxErr != nil && s.ctxErr == nil {
 			s.ctxErr = sh.ctxErr
 		}

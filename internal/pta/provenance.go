@@ -1,7 +1,9 @@
 package pta
 
 import (
+	mbits "math/bits"
 	"strings"
+	"sync"
 
 	"introspect/internal/ir"
 )
@@ -11,62 +13,128 @@ import (
 //
 // When Options.Provenance is set, the solver records, for every
 // points-to fact (node, hc) it establishes, the constraint-graph node
-// the fact first arrived from — one int32 per fact. Because a fact is
-// derived exactly once (Set.Add reports the first insertion) and the
-// source fact necessarily exists before it propagates, the recorded
-// "first derivation" edges form a DAG: walking them back from any fact
-// terminates at the node where the object was introduced (the
-// allocation's target variable, or a callee's this bound by dispatch).
-// That walk, reversed, is a shortest-by-construction derivation path
+// the fact first arrived from. Facts propagate only through the
+// word-parallel kernel (bits.Set.UnionWords), and each kernel call
+// moves facts from exactly one source node into one destination, so
+// the recorder hooks the kernel's per-word visit callback: every word
+// that gains bits appends one (word, from, bits) record to the
+// destination node's chain. New bits are disjoint across calls, so
+// each fact lands in exactly one record — its first derivation — and
+// an introduction fact (Alloc, dispatch this-binding) is a one-bit
+// record with source provIntro. Because the source fact necessarily
+// exists before it propagates, the recorded edges form a DAG: walking
+// them back from any fact terminates at the node where the object was
+// introduced (the allocation's target variable, or a callee's this
+// bound by dispatch). That walk, reversed, is a shortest-by-
+// construction derivation path
 //
 //	alloc → var → … → field → … → var
 //
 // which clients (internal/checkers) attach to diagnostics as a witness.
 //
-// Recording costs one hash-table insert per derived fact and forces the
-// solver onto its element-wise propagation paths (the word-parallel
-// kernels cannot say which source element produced which new bit), so
-// it is strictly opt-in; with the flag off the only cost is a nil check
-// on the fact-insertion path.
+// Recording costs one record per changed word — not per fact — and
+// leaves the propagation schedule and the work accounting untouched,
+// so a recorded solve derives the same facts in the same order as an
+// unrecorded one. With the flag off the only cost is a nil check per
+// changed word.
 
 // provIntro is the recorded source of a fact introduced directly —
 // by an Alloc instruction or by the this-binding of a dispatch — rather
 // than propagated across a constraint edge.
 const provIntro int32 = -1
 
-// provRecorder maps packed (node, hc) fact keys to the node the fact
-// first arrived from (provIntro for introduction points). Values are
-// indices into srcs because internTable requires non-negative values.
+// provRecord says that the facts (n, 64*word+b), for every set bit b of
+// bits, were first derived from node from. A node's records form a
+// chain through next, newest first.
+type provRecord struct {
+	bits uint64
+	word int32
+	from int32
+	next int32 // index+1 of the node's previous record; 0 ends the chain
+}
+
+// provRecorder keeps every node's record chain in one arena.
 type provRecorder struct {
-	tab  internTable
-	srcs []int32
+	head  []int32 // node → index+1 of its newest record; 0: none
+	recs  []provRecord
+	facts int
+
+	// dst and from bind the destination and source node of the kernel
+	// call in progress; visit is the bound method value handed to the
+	// kernel, built once per solve so binding allocates nothing.
+	dst, from int32
+	visit     func(word int, bits uint64)
+
+	// runs caches, per node looked up after the solve, a contiguous
+	// copy of its chain (see source); mu guards it because a Result
+	// may be explained from several goroutines.
+	mu   sync.Mutex
+	runs map[int32][]provRecord
 }
 
-func provKey(n, hc int32) uint64 {
-	return uint64(uint32(n))<<32 | uint64(uint32(hc))
+func newProvRecorder() *provRecorder {
+	p := &provRecorder{runs: make(map[int32][]provRecord)}
+	p.visit = p.add
+	return p
 }
 
-// record notes that fact (n, hc) was first derived from node `from`
-// (provIntro if introduced). Callers only invoke it when the fact is
-// new, so the key is never already present.
-func (p *provRecorder) record(n, hc, from int32) {
-	p.tab.put(provKey(n, hc), int32(len(p.srcs)))
-	p.srcs = append(p.srcs, from)
+// bind returns the kernel visitor that records facts new to dst as
+// derived from node from, or nil when recording is off (p == nil).
+func (p *provRecorder) bind(dst, from int32) func(word int, bits uint64) {
+	if p == nil {
+		return nil
+	}
+	p.dst, p.from = dst, from
+	return p.visit
+}
+
+// add appends a record for the bound (dst, from) pair.
+func (p *provRecorder) add(word int, bits uint64) {
+	n := int(p.dst)
+	if n >= len(p.head) {
+		p.head = append(p.head, make([]int32, n+1-len(p.head))...)
+	}
+	p.recs = append(p.recs, provRecord{bits: bits, word: int32(word), from: p.from, next: p.head[n]})
+	p.head[n] = int32(len(p.recs))
+	p.facts += mbits.OnesCount64(bits)
+}
+
+// recordIntro notes that fact (n, hc) was introduced directly. Callers
+// only invoke it when the fact is new.
+func (p *provRecorder) recordIntro(n, hc int32) {
+	p.dst, p.from = n, provIntro
+	p.add(int(hc/64), 1<<uint(hc%64))
 }
 
 // source returns the first-deriving source node of fact (n, hc):
 // provIntro for introduction points, ok=false if the fact was never
-// recorded.
+// recorded. The first lookup of a node copies its chain into one
+// contiguous run, so the lookups a witness walk repeats over a large
+// points-to set scan adjacent records instead of hopping the arena.
 func (p *provRecorder) source(n, hc int32) (int32, bool) {
-	i, ok := p.tab.get(provKey(n, hc))
-	if !ok {
+	if int(n) >= len(p.head) {
 		return 0, false
 	}
-	return p.srcs[i], true
+	p.mu.Lock()
+	run, ok := p.runs[n]
+	if !ok {
+		for i := p.head[n]; i != 0; i = p.recs[i-1].next {
+			run = append(run, p.recs[i-1])
+		}
+		p.runs[n] = run
+	}
+	p.mu.Unlock()
+	word, bit := hc/64, uint64(1)<<uint(hc%64)
+	for i := range run {
+		if run[i].word == word && run[i].bits&bit != 0 {
+			return run[i].from, true
+		}
+	}
+	return 0, false
 }
 
 // len returns the number of recorded facts.
-func (p *provRecorder) len() int { return len(p.srcs) }
+func (p *provRecorder) len() int { return p.facts }
 
 // --- post-solve reconstruction ---
 

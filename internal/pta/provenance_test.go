@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"introspect/internal/bits"
 	"introspect/internal/ir"
 	"introspect/internal/randprog"
 )
@@ -20,11 +22,12 @@ func solveProv(t testing.TB, prog *ir.Program, analysis string) *Result {
 	return res
 }
 
-// TestProvenanceDoesNotChangeResults asserts the element-wise
-// propagation path the recorder forces is observationally identical to
-// the word-parallel kernels: same facts, same reachability, same call
-// graph, and — because the element path charges the budget per
-// (element, edge) exactly like the kernels — the same work count.
+// TestProvenanceDoesNotChangeResults asserts that recording is
+// observationally inert: the recorder only watches the words the
+// propagation kernel changes, so a recorded solve reaches the same
+// facts, reachability and call graph, charges the same work (the
+// schedule is untouched), and keeps exactly one record per derived
+// fact.
 func TestProvenanceDoesNotChangeResults(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		prog := randprog.Generate(seed, randprog.Default())
@@ -88,7 +91,7 @@ func checkWitnesses(t testing.TB, label string, prog *ir.Program, res *Result) i
 
 	connected := func(a, b, hc int32) bool {
 		for _, e := range s.succs[a] {
-			if e.dst == b && s.passesFilter(hc, e.filter) {
+			if e.dst == b && (e.filter == ir.None || prog.SubtypeOf(prog.HeapType(s.hcHeap[hc]), e.filter)) {
 				return true
 			}
 		}
@@ -212,6 +215,49 @@ func TestExplainAPI(t *testing.T) {
 	if strings.Contains(plain.Analysis, "prov") {
 		t.Error("provenance must not rename the analysis")
 	}
+}
+
+// TestExplainConcurrent explains every var-node fact of one shared
+// Result from several goroutines at once — the recorder fills its
+// per-node lookup cache lazily — and checks each witness against a
+// serial explanation of an identical solve.
+func TestExplainConcurrent(t *testing.T) {
+	prog := randprog.Generate(5, randprog.Default())
+	explainAll := func(res *Result) []string {
+		var out []string
+		res.ForEachVarCtx(func(v ir.VarID, ctx Ctx, pt *bits.Set) {
+			pt.ForEach(func(hc int32) {
+				w, ok := res.Explain(v, ctx, hc)
+				if !ok {
+					out = append(out, "<none>")
+					return
+				}
+				out = append(out, w.Format(prog))
+			})
+		})
+		return out
+	}
+	want := explainAll(solveProv(t, prog, "2objH"))
+	shared := solveProv(t, prog, "2objH")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got := explainAll(shared)
+			if len(got) != len(want) {
+				t.Errorf("explained %d facts, want %d", len(got), len(want))
+				return
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("fact %d: witness %q, want %q", i, got[i], want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // findHC returns the hc id of heap h's (sole) context-qualified object.

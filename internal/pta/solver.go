@@ -44,10 +44,10 @@ type Options struct {
 	// Provenance enables the derivation-witness recorder: for every
 	// points-to fact the solver notes the constraint edge that first
 	// derived it, so Result.Explain can reconstruct a shortest
-	// derivation path (alloc → … → use) post-solve. Recording forces
-	// element-wise propagation (no word-parallel kernels) and one
-	// hash-table insert per derived fact; disabled it costs one nil
-	// check per fact. See provenance.go.
+	// derivation path (alloc → … → use) post-solve. Recording rides
+	// on the same word-parallel kernels as an unrecorded solve and
+	// appends one record per word of newly derived facts; disabled it
+	// costs one nil check per changed word. See provenance.go.
 	Provenance bool
 	// Workers selects intra-solve parallelism: 0 or 1 run the serial
 	// solver (bit-identical results and work accounting to builds
@@ -60,8 +60,9 @@ type Options struct {
 	// Work counter above 1 follows the parallel schedule: compare
 	// Derivations/Propagations across modes, not Work. Values outside
 	// [0, MaxWorkers], or any value above 1 combined with Provenance
-	// (which needs element-wise propagation), make Solve fail with a
-	// nil Result.
+	// (cross-shard outbox sets merge facts from many source nodes, so
+	// a merge cannot name a fact's first-deriving edge), make Solve
+	// fail with a nil Result.
 	Workers int
 }
 
@@ -238,9 +239,7 @@ type solver struct {
 	callUses  [][]callUse
 	inWL      []bool
 	wl        []int32
-	// spares recycles drained delta sets (their backing storage) so a
-	// node's flush does not allocate.
-	spares []bits.Set
+	spares    deltaPool
 	// filters caches per-(filter, hc) subtype verdicts (see filterCache).
 	filters map[ir.TypeID]*filterCache
 
@@ -267,20 +266,18 @@ type solver struct {
 	// nil check per worklist push and per new edge.
 	par *parRuntime
 
-	work         int64
-	derivations  int64 // new points-to facts established
-	propagations int64 // (element, edge) propagation attempts
-	budget       int64
-	exceeded     bool
-	ctx          context.Context
-	ctxErr       error
-	popCount     int
-	progress     func(work int64)
-	progEvery    int64
-	lastProg     int64
-	snapshot     func(Snapshot)
-	snapEvery    int64
-	lastSnap     int64
+	tally
+	budget    int64
+	exceeded  bool
+	ctx       context.Context
+	ctxErr    error
+	popCount  int
+	progress  func(work int64)
+	progEvery int64
+	lastProg  int64
+	snapshot  func(Snapshot)
+	snapEvery int64
+	lastSnap  int64
 
 	// finalize() products
 	varNodes map[ir.VarID][]int32
@@ -332,7 +329,7 @@ func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, op
 		s.snapEvery = DefaultSnapshotEvery
 	}
 	if opts.Provenance {
-		s.prov = &provRecorder{}
+		s.prov = newProvRecorder()
 	}
 	workers := opts.Workers
 	if workers < 1 {
@@ -491,24 +488,10 @@ func (s *solver) push(n int32) {
 // addTo inserts a context-qualified heap object into a node's points-to
 // set at an introduction point (an Alloc or a dispatch this-binding),
 // scheduling propagation if it is new.
-func (s *solver) addTo(n, hc int32) { s.addToFrom(n, hc, provIntro) }
-
-// elementwise reports whether propagation must visit facts one element
-// at a time — because a debug hook or the provenance recorder needs to
-// observe each (fact, edge) individually — instead of using the
-// word-parallel union kernels.
-func (s *solver) elementwise() bool { return debugAdd != nil || s.prov != nil }
-
-// addToFrom is addTo for facts arriving across a constraint edge: from
-// is the source node recorded as the fact's first derivation (provIntro
-// at introduction points).
-func (s *solver) addToFrom(n, hc, from int32) {
+func (s *solver) addTo(n, hc int32) {
 	if s.pt[n].Add(hc) {
 		if s.prov != nil {
-			s.prov.record(n, hc, from)
-		}
-		if debugAdd != nil {
-			debugAdd(s, n, hc)
+			s.prov.recordIntro(n, hc)
 		}
 		// delta ⊆ pt between flushes, so a fact new to pt is new to
 		// delta too.
@@ -521,22 +504,48 @@ func (s *solver) addToFrom(n, hc, from int32) {
 	}
 }
 
-func (s *solver) passesFilter(hc int32, filter ir.TypeID) bool {
-	if filter == ir.None {
-		return true
+// tally holds the deterministic cost counters. The serial solver
+// charges its own; each parallel shard charges a private tally that
+// the barrier merges in shard-id order.
+type tally struct {
+	work         int64
+	derivations  int64 // new points-to facts established
+	propagations int64 // (element, edge) propagation attempts
+}
+
+// flow is the one propagation step: it moves the elements of src —
+// minus skip, within mask (either may be nil) — into dst's points-to
+// set and pending delta a word at a time, recording `from` as the
+// first-deriving node of every new fact when provenance is on. It
+// charges c one work unit per scanned element plus one per new fact
+// (the count a per-element loop would have paid) and schedules dst if
+// it grew.
+func (s *solver) flow(c *tally, dst int32, src, skip, mask *bits.Set, from int32) {
+	added, scanned := s.pt[dst].UnionWords(src, skip, mask, &s.delta[dst], s.prov.bind(dst, from))
+	c.work += int64(scanned) + int64(added)
+	c.propagations += int64(scanned)
+	if added > 0 {
+		s.ptLen[dst] += int32(added)
+		s.deltaLen[dst] += int32(added)
+		c.derivations += int64(added)
+		s.push(dst)
 	}
-	return s.prog.SubtypeOf(s.prog.HeapType(s.hcHeap[hc]), filter)
 }
 
 // filterMask returns the pass mask for filter covering at least the
-// elements of d: hc ids already known to satisfy the filter. Verdicts
-// for d's not-yet-classified elements are computed (once per (filter,
-// hc) — the verdict cache) before the mask is returned.
-func (s *solver) filterMask(filter ir.TypeID, d *bits.Set) *bits.Set {
-	fc := s.filters[filter]
+// elements of d — hc ids already known to satisfy the filter — or nil
+// for an unfiltered edge. Verdicts for d's not-yet-classified elements
+// are computed into cache (once per (filter, hc)) before the mask is
+// returned; the serial solver and each parallel shard keep their own
+// cache.
+func (s *solver) filterMask(cache map[ir.TypeID]*filterCache, filter ir.TypeID, d *bits.Set) *bits.Set {
+	if filter == ir.None {
+		return nil
+	}
+	fc := cache[filter]
 	if fc == nil {
 		fc = &filterCache{}
-		s.filters[filter] = fc
+		cache[filter] = fc
 	}
 	d.ForEachDiff(&fc.known, func(hc int32) {
 		fc.known.Add(hc)
@@ -573,35 +582,8 @@ func (s *solver) addEdge(src, dst int32, filter ir.TypeID) {
 		sh.newEdges = append(sh.newEdges, parEdge{src: src, dst: dst, filter: filter})
 		return
 	}
-	if s.elementwise() {
-		// Element-wise slow path so the debug hook / provenance
-		// recorder observes every fact. Work accounting matches the
-		// word-parallel path: one unit per scanned element plus one per
-		// new fact (charged inside addToFrom).
-		s.pt[src].ForEachDiff(&s.delta[src], func(hc int32) {
-			s.work++
-			s.propagations++
-			if s.passesFilter(hc, filter) {
-				s.addToFrom(dst, hc, src)
-			}
-		})
-		return
-	}
-	var added, scanned int
-	if filter == ir.None {
-		added, scanned = s.pt[dst].UnionWordsDiffInto(&s.pt[src], &s.delta[src], &s.delta[dst])
-	} else {
-		mask := s.filterMask(filter, &s.pt[src])
-		added, scanned = s.pt[dst].UnionWordsDiffMaskedInto(&s.pt[src], &s.delta[src], mask, &s.delta[dst])
-	}
-	s.work += int64(scanned) + int64(added)
-	s.propagations += int64(scanned)
-	if added > 0 {
-		s.ptLen[dst] += int32(added)
-		s.deltaLen[dst] += int32(added)
-		s.derivations += int64(added)
-		s.push(dst)
-	}
+	mask := s.filterMask(s.filters, filter, &s.pt[src])
+	s.flow(&s.tally, dst, &s.pt[src], &s.delta[src], mask, src)
 }
 
 // reach marks (m, ctx) reachable, queueing the method body for
@@ -755,9 +737,6 @@ func (s *solver) linkCall(c *ir.Call, callerCtx Ctx, toMeth ir.MethodID, calleeC
 	if !s.cgSeen.insert(ka, kb) {
 		return
 	}
-	if debugLink != nil {
-		debugLink(s, c, callerCtx, toMeth, calleeCtx)
-	}
 	if s.invoTargets[c.Invo] == nil {
 		s.invoTargets[c.Invo] = make(map[ir.MethodID]struct{})
 	}
@@ -907,76 +886,49 @@ func (s *solver) run() {
 	}
 }
 
-// takeDelta detaches node n's pending delta for flushing, installing a
+// deltaPool recycles drained delta sets (their backing storage) so a
+// node's flush does not allocate. The serial solver and each parallel
+// shard own one.
+type deltaPool []bits.Set
+
+// take detaches node n's pending delta for flushing, installing a
 // recycled empty set in its place so facts derived mid-flush accumulate
 // into a fresh batch.
-func (s *solver) takeDelta(n int32) bits.Set {
+func (p *deltaPool) take(s *solver, n int32) bits.Set {
 	d := s.delta[n]
 	s.deltaLen[n] = 0
-	if k := len(s.spares); k > 0 {
-		s.delta[n] = s.spares[k-1]
-		s.spares = s.spares[:k-1]
+	if k := len(*p); k > 0 {
+		s.delta[n] = (*p)[k-1]
+		*p = (*p)[:k-1]
 	} else {
 		s.delta[n] = bits.Set{}
 	}
 	return d
 }
 
-// recycleDelta returns a drained delta set's storage to the spare pool.
-func (s *solver) recycleDelta(d bits.Set) {
+// put returns a drained delta set's storage to the pool.
+func (p *deltaPool) put(d bits.Set) {
 	d.Clear()
-	s.spares = append(s.spares, d)
+	*p = append(*p, d)
 }
 
 // processNode flushes node n's pending delta: whole 64-bit words move
-// across unfiltered edges in one OR each (filtered edges apply the
+// across each successor edge in one OR (filtered edges apply the
 // cached verdict mask first), and the per-element loops survive only
 // for the load/store/call uses that must inspect each new heap object
-// individually. Work accounting matches the per-element loop this
-// replaces: one unit per (element, edge) attempt plus one per new fact.
+// individually.
 func (s *solver) processNode(n int32) {
-	dc := int64(s.deltaLen[n])
-	d := s.takeDelta(n)
-	if dc == 0 {
-		s.recycleDelta(d)
-		return
-	}
-	if !s.elementwise() {
+	empty := s.deltaLen[n] == 0
+	d := s.spares.take(s, n)
+	if !empty {
 		for _, e := range s.succs[n] {
-			s.work += dc
-			s.propagations += dc
-			var added int
-			if e.filter == ir.None {
-				added = s.pt[e.dst].UnionWordsInto(&d, &s.delta[e.dst])
-			} else {
-				mask := s.filterMask(e.filter, &d)
-				added = s.pt[e.dst].UnionWordsMaskedInto(&d, mask, &s.delta[e.dst])
-			}
-			if added > 0 {
-				s.ptLen[e.dst] += int32(added)
-				s.deltaLen[e.dst] += int32(added)
-				s.work += int64(added)
-				s.derivations += int64(added)
-				s.push(e.dst)
-			}
+			s.flow(&s.tally, e.dst, &d, nil, s.filterMask(s.filters, e.filter, &d), n)
 		}
-	} else {
-		// Element-wise slow path so the debug hook / provenance
-		// recorder observes every fact.
-		for _, e := range s.succs[n] {
-			d.ForEach(func(hc int32) {
-				s.work++
-				s.propagations++
-				if s.passesFilter(hc, e.filter) {
-					s.addToFrom(e.dst, hc, n)
-				}
-			})
+		if s.kind[n] == varNode {
+			s.processUses(n, &d)
 		}
 	}
-	if s.kind[n] == varNode {
-		s.processUses(n, &d)
-	}
-	s.recycleDelta(d)
+	s.spares.put(d)
 }
 
 // processUses applies var node n's registered load/store/call uses to
@@ -1023,14 +975,6 @@ func (s *solver) finalize() {
 		}
 	}
 }
-
-// debugLink, when non-nil, observes every new call-graph edge; used by
-// solver debugging tests.
-var debugLink func(s *solver, c *ir.Call, callerCtx Ctx, toMeth ir.MethodID, calleeCtx Ctx)
-
-// debugAdd, when non-nil, observes every new points-to fact; used by
-// solver debugging tests.
-var debugAdd func(s *solver, n, hc int32)
 
 // debugNode formats a node for debugging tests.
 func (s *solver) debugNode(n int32) string {

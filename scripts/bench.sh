@@ -11,9 +11,11 @@
 # comparable across commits.
 #
 # The Provenance/off and Provenance/on pair additionally records the
-# derivation-witness recorder's solver overhead; the gate is that
-# Provenance/off stays within noise of historical Fig runs (the
-# disabled recorder costs one nil check per derived fact).
+# derivation-witness recorder's solver overhead. Recording hooks the
+# same word-parallel kernels an unrecorded solve uses, so the gate is:
+# Provenance/on work must EQUAL Provenance/off work (deterministic, so
+# enforced even with BENCH_GATE=off), and Provenance/on min ns/op must
+# stay within 3x of Provenance/off (timing, so BENCH_GATE=off skips it).
 #
 # The CutShortcut/{insens,cs,2objH} trio records the cut-shortcut
 # analysis's cost against its two reference points over all nine
@@ -62,6 +64,29 @@ if [ -n "$prev" ]; then
 fi
 
 go test -bench='Fig|Provenance|CutShortcut|Taint' -benchtime=1x -count="$count" -run '^$' . | tee "$raw"
+
+awk -v gate="${BENCH_GATE:-on}" '
+/^BenchmarkProvenance\/(off|on)([-\t ]|$)/ {
+    name = $1
+    sub(/^BenchmarkProvenance\//, "", name)
+    sub(/-[0-9]+$/, "", name)
+    if (!(name in minns) || $3 < minns[name]) minns[name] = $3
+    for (i = 3; i < NF; i += 2) if ($(i+1) == "work") work[name] = $i
+}
+END {
+    if (!("off" in minns) || !("on" in minns)) {
+        print "bench gate: FAIL: Provenance/off and Provenance/on rows missing from output"; exit 1
+    }
+    if (work["on"] != work["off"]) {
+        printf "bench gate: FAIL: provenance recording changed solver work (%s vs %s)\n", work["on"], work["off"]; exit 1
+    }
+    ratio = minns["on"] / minns["off"]
+    printf "bench gate: OK: provenance work identical (%s), recording wall overhead x%.2f (min ns/op %.0f -> %.0f)\n", \
+        work["off"], ratio, minns["off"], minns["on"]
+    if (gate != "off" && ratio > 3) {
+        print "bench gate: FAIL: Provenance/on more than 3x slower than Provenance/off"; exit 1
+    }
+}' "$raw"
 
 if [ "${BENCH_GATE:-on}" != "off" ]; then
     awk -v prev_work="$prev_work" '
