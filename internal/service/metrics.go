@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -153,9 +152,9 @@ func (m *Metrics) add(c *uint64) {
 // histJSON is a histogram's wire form: cumulative "le" buckets plus
 // count and sum, mirroring the Prometheus text shapes in JSON.
 type histJSON struct {
-	Count   uint64             `json:"count"`
-	SumMS   float64            `json:"sum_ms"`
-	Buckets map[string]uint64  `json:"buckets"` // "le_<bound_ms>" and "le_inf", cumulative
+	Count   uint64            `json:"count"`
+	SumMS   float64           `json:"sum_ms"`
+	Buckets map[string]uint64 `json:"buckets"` // "le_<bound_ms>" and "le_inf", cumulative
 }
 
 // MetricsSnapshot is the GET /metrics document.
@@ -214,9 +213,10 @@ type MetricsSnapshot struct {
 	Goroutines int   `json:"goroutines"`
 }
 
-// snapshot copies the metrics under the lock. workers/capacity and the
-// disk entry count are owned elsewhere, passed in by the Service.
-func (m *Metrics) snapshot(workers, capacity, diskEntries int) MetricsSnapshot {
+// snapshot copies the metrics under the lock. workers/capacity, the
+// disk entry count and the process stats are owned elsewhere, passed
+// in by the Service.
+func (m *Metrics) snapshot(workers, capacity, diskEntries int, proc procStats) MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var s MetricsSnapshot
@@ -270,11 +270,9 @@ func (m *Metrics) snapshot(workers, capacity, diskEntries int) MetricsSnapshot {
 		s.Mem.LastStageAllocBytes = copyCounts(m.stageLastAllocBytes)
 	}
 	s.Mem.BytesPerNode = m.bytesPerNode
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	s.Mem.HeapInuseBytes = ms.HeapInuse
-	s.UptimeMS = time.Since(m.start).Milliseconds()
-	s.Goroutines = runtime.NumGoroutine()
+	s.Mem.HeapInuseBytes = proc.heapInuse
+	s.UptimeMS = proc.uptime.Milliseconds()
+	s.Goroutines = proc.goroutines
 	return s
 }
 

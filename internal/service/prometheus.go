@@ -25,12 +25,13 @@ func (s *Service) WritePrometheus(w io.Writer) error {
 }
 
 // procStats are the process-level gauge values. The caller collects
-// them so writePrometheus stays a pure function of its inputs and the
-// golden test can pin the exposition byte-for-byte with fixed values.
+// them once for either rendering, so snapshot and writePrometheus stay
+// pure functions of their inputs and the golden tests can pin both
+// documents byte-for-byte with fixed values.
 type procStats struct {
 	goVersion  string
 	version    string
-	uptimeSec  float64
+	uptime     time.Duration
 	goroutines int
 	heapInuse  uint64
 }
@@ -45,7 +46,7 @@ func collectProcStats(m *Metrics) procStats {
 	return procStats{
 		goVersion:  runtime.Version(),
 		version:    version,
-		uptimeSec:  time.Since(m.start).Seconds(),
+		uptime:     time.Since(m.start),
 		goroutines: runtime.NumGoroutine(),
 		heapInuse:  ms.HeapInuse,
 	}
@@ -107,7 +108,7 @@ func (m *Metrics) writePrometheus(w io.Writer, workers, capacity, diskEntries in
 
 	info := p.GaugeFamily("ptad_build_info", "Build metadata; value is always 1.")
 	info.Series(obs.Labels{"go_version": proc.goVersion, "version": proc.version}, 1)
-	p.Gauge("ptad_uptime_seconds", "Seconds since the service started.", proc.uptimeSec)
+	p.Gauge("ptad_uptime_seconds", "Seconds since the service started.", proc.uptime.Seconds())
 	p.Gauge("ptad_goroutines", "Live goroutine count.", float64(proc.goroutines))
 	p.Gauge("ptad_heap_inuse_bytes", "Bytes in in-use heap spans (runtime.MemStats.HeapInuse).", float64(proc.heapInuse))
 

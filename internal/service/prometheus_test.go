@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,37 @@ import (
 // because you renamed or dropped a metric, that is the bug — add new
 // metrics instead.
 func TestPrometheusExpositionGolden(t *testing.T) {
+	m := goldenMetrics()
+	var sb strings.Builder
+	if err := m.writePrometheus(&sb, 4, 20, 12, goldenProc); err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != promGolden {
+		t.Errorf("exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", got, promGolden)
+	}
+}
+
+// TestMetricsJSONGolden pins the JSON /metrics document the same way:
+// its field names and nesting are read by dashboards, the load
+// replayer and the benchmark harness. Same values as the Prometheus
+// golden, so the two renderings are checked against one state.
+func TestMetricsJSONGolden(t *testing.T) {
+	m := goldenMetrics()
+	b, err := json.MarshalIndent(m.snapshot(4, 20, 12, goldenProc), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(b) + "\n"; got != metricsJSONGolden {
+		t.Errorf("JSON /metrics drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", got, metricsJSONGolden)
+	}
+}
+
+// goldenProc fixes the process stats so the goldens stay
+// deterministic; the live values come from collectProcStats.
+var goldenProc = procStats{goVersion: "go1.23.0", version: "(devel)", uptime: 42500 * time.Millisecond, goroutines: 12, heapInuse: 8388608}
+
+// goldenMetrics is the metrics state both goldens render.
+func goldenMetrics() *Metrics {
 	m := newMetrics()
 	m.requests = 7
 	m.cacheHits = 2
@@ -46,17 +78,7 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	m.stageLastAllocBytes["main-pass"] = 262144
 	m.stageLastAllocBytes["pre-pass"] = 131072
 	m.bytesPerNode = 512
-	// Fixed process stats keep the golden deterministic; the live
-	// values are collected by WritePrometheus (collectProcStats).
-	proc := procStats{goVersion: "go1.23.0", version: "(devel)", uptimeSec: 42.5, goroutines: 12, heapInuse: 8388608}
-
-	var sb strings.Builder
-	if err := m.writePrometheus(&sb, 4, 20, 12, proc); err != nil {
-		t.Fatal(err)
-	}
-	if got := sb.String(); got != promGolden {
-		t.Errorf("exposition drifted from golden.\n--- got ---\n%s\n--- want ---\n%s", got, promGolden)
-	}
+	return m
 }
 
 const promGolden = `# HELP ptad_requests_total Analysis requests received.
@@ -196,4 +218,110 @@ ptad_stage_latency_ms_bucket{stage="pre-pass",le="30000"} 1
 ptad_stage_latency_ms_bucket{stage="pre-pass",le="+Inf"} 1
 ptad_stage_latency_ms_sum{stage="pre-pass"} 0.5
 ptad_stage_latency_ms_count{stage="pre-pass"} 1
+`
+
+const metricsJSONGolden = `{
+  "requests": 7,
+  "cache": {
+    "hits": 2,
+    "misses": 4,
+    "dedup": 1
+  },
+  "disk": {
+    "hits": 1,
+    "writes": 3,
+    "corrupt": 0,
+    "entries": 12
+  },
+  "solves": 4,
+  "pre_pass_shared": 1,
+  "batches": 1,
+  "batch_jobs": 9,
+  "streams": 2,
+  "peers": {
+    "forwarded": {
+      "http://node-a:8372": 2,
+      "http://node-b:8372": 5
+    },
+    "errors": {
+      "http://node-b:8372": 1
+    },
+    "fallbacks": 1
+  },
+  "rejected": {
+    "invalid": 1,
+    "overload": 2
+  },
+  "timeouts": 1,
+  "internal_errors": 0,
+  "queue": {
+    "in_flight": 1,
+    "depth": 2,
+    "workers": 4,
+    "capacity": 20
+  },
+  "stage_latency_ms": {
+    "main-pass": {
+      "count": 2,
+      "sum_ms": 47,
+      "buckets": {
+        "le_1": 0,
+        "le_10": 1,
+        "le_100": 2,
+        "le_1000": 2,
+        "le_10000": 2,
+        "le_2": 0,
+        "le_25": 1,
+        "le_250": 2,
+        "le_2500": 2,
+        "le_30000": 2,
+        "le_5": 0,
+        "le_50": 2,
+        "le_500": 2,
+        "le_5000": 2,
+        "le_inf": 2
+      }
+    },
+    "pre-pass": {
+      "count": 1,
+      "sum_ms": 0.5,
+      "buckets": {
+        "le_1": 1,
+        "le_10": 1,
+        "le_100": 1,
+        "le_1000": 1,
+        "le_10000": 1,
+        "le_2": 1,
+        "le_25": 1,
+        "le_250": 1,
+        "le_2500": 1,
+        "le_30000": 1,
+        "le_5": 1,
+        "le_50": 1,
+        "le_500": 1,
+        "le_5000": 1,
+        "le_inf": 1
+      }
+    }
+  },
+  "decisions": {
+    "in-flow|demote": 3,
+    "in-flow|refine": 11,
+    "total-field-points-to*pointed-by-vars|demote": 2
+  },
+  "mem": {
+    "stage_alloc_bytes": {
+      "main-pass": 1048576,
+      "pre-pass": 524288
+    },
+    "last_stage_alloc_bytes": {
+      "main-pass": 262144,
+      "pre-pass": 131072
+    },
+    "bytes_per_node": 512,
+    "heap_inuse_bytes": 8388608
+  },
+  "uptime_ms": 42500,
+  "goroutines": 12
+}
 `

@@ -248,7 +248,7 @@ func (s *Service) Config() Config { return s.cfg }
 
 // Metrics returns the service's metrics snapshot.
 func (s *Service) Metrics() MetricsSnapshot {
-	return s.metrics.snapshot(s.cfg.Workers, s.cfg.Workers+s.cfg.QueueDepth, s.store.len())
+	return s.metrics.snapshot(s.cfg.Workers, s.cfg.Workers+s.cfg.QueueDepth, s.store.len(), collectProcStats(s.metrics))
 }
 
 // SpecList returns the /v1/specs document. The spec and variant lists
