@@ -38,20 +38,20 @@ type (
 // instead of shedding their own jobs.
 func (s *Service) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, *Error) {
 	if len(req.Jobs) == 0 {
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.c.Rejected.Invalid)
 		return nil, errf(CodeBadRequest, "batch has no jobs")
 	}
 	if len(req.Jobs) > MaxBatchJobs {
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.c.Rejected.Invalid)
 		return nil, errf(CodeBadRequest, "batch has %d jobs, limit %d", len(req.Jobs), MaxBatchJobs)
 	}
 	if req.Source == "" {
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.c.Rejected.Invalid)
 		return nil, errf(CodeBadRequest, "source is required")
 	}
 	s.metrics.mu.Lock()
-	s.metrics.batches++
-	s.metrics.batchJobs += uint64(len(req.Jobs))
+	s.metrics.c.Batches++
+	s.metrics.c.BatchJobs += uint64(len(req.Jobs))
 	s.metrics.mu.Unlock()
 
 	jobReq := func(job analysis.Job) Request {

@@ -88,8 +88,8 @@ func wantsPrometheus(r *http.Request) bool {
 func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	req, serr := ptav1.DecodeAnalyze(r, s.maxBody())
 	if serr != nil {
-		s.metrics.add(&s.metrics.requests)
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.c.Requests)
+		s.metrics.add(&s.metrics.c.Rejected.Invalid)
 		writeError(w, serr)
 		return
 	}
@@ -137,7 +137,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, s.maxBody()))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.c.Rejected.Invalid)
 		writeError(w, errf(CodeBadRequest, "decoding batch: %v", err))
 		return
 	}

@@ -34,68 +34,33 @@ func (h *histogram) observe(d time.Duration) {
 }
 
 // Metrics is the service's observability surface: monotonic counters,
-// point-in-time gauges, and per-stage latency histograms. Snapshot
-// renders it as one plain JSON document (expvar-style — no external
-// metrics dependency), which cmd/ptad serves at GET /metrics.
+// point-in-time gauges, and per-stage latency histograms. The counters
+// and gauges live in c, in the very shape GET /metrics serves as JSON
+// (expvar-style — no external metrics dependency); snapshot copies it
+// out and writePrometheus renders it as text exposition, so each one
+// is declared once, as its MetricsSnapshot field.
 type Metrics struct {
 	mu sync.Mutex
 
-	requests        uint64
-	cacheHits       uint64
-	cacheMisses     uint64
-	dedups          uint64
-	solves          uint64 // completed solver runs (== misses that ran)
-	prePassShared   uint64 // introspective runs that reused a cached insensitive pass
-	rejectedInvalid uint64
-	rejectedLoad    uint64 // admission rejections (429)
-	timeouts        uint64 // deadline expiries (504)
-	internalErrs    uint64
-
-	diskHits    uint64 // cache hits served from the durable store
-	diskWrites  uint64 // results spilled to the durable store
-	diskCorrupt uint64 // store files rejected by verify-on-read
-
-	batches   uint64 // POST /v1/batch requests
-	batchJobs uint64 // jobs submitted through batches
-	streams   uint64 // streaming analyze responses
-
-	peerForwarded map[string]uint64 // peer → requests forwarded to it
-	peerErrors    map[string]uint64 // peer → failed forward attempts
-	peerFallbacks uint64            // forwards that fell back to a local solve
-
-	inFlight int // solves currently holding a worker slot
-	queued   int // admitted requests waiting for a worker slot
+	// c holds every counter and gauge. The fields owned elsewhere —
+	// queue workers and capacity, disk entries, the latency histograms
+	// and the process stats — stay zero here and are filled in by
+	// snapshot.
+	c MetricsSnapshot
 
 	stageLatency map[string]*histogram // stage name → wall-time histogram
-
-	// decisions aggregates the introspection decision audit across
-	// solves: "metric|verdict" → count (metric labels never contain
-	// '|'; products spell "a*b").
-	decisions map[string]uint64
-
-	// Memory telemetry, fed by memObserver: cumulative bytes allocated
-	// per pipeline stage, the latest solve's per-stage delta, and the
-	// latest main-pass bytes-per-constraint-node figure. Deltas are
-	// process-wide TotalAlloc differences, so concurrent solves bleed
-	// into each other's numbers — a capacity-planning signal, not an
-	// exact attribution.
-	stageAllocBytes     map[string]uint64
-	stageLastAllocBytes map[string]uint64
-	bytesPerNode        uint64
 
 	start time.Time // process metrics epoch, for the uptime gauge
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{
-		stageLatency:        make(map[string]*histogram),
-		peerForwarded:       make(map[string]uint64),
-		peerErrors:          make(map[string]uint64),
-		decisions:           make(map[string]uint64),
-		stageAllocBytes:     make(map[string]uint64),
-		stageLastAllocBytes: make(map[string]uint64),
-		start:               time.Now(),
-	}
+	m := &Metrics{stageLatency: make(map[string]*histogram), start: time.Now()}
+	m.c.Peers.Forwarded = make(map[string]uint64)
+	m.c.Peers.Errors = make(map[string]uint64)
+	m.c.Decisions = make(map[string]uint64)
+	m.c.Mem.StageAllocBytes = make(map[string]uint64)
+	m.c.Mem.LastStageAllocBytes = make(map[string]uint64)
+	return m
 }
 
 // observeDecisions folds one solve's decision audit into the
@@ -106,7 +71,7 @@ func (m *Metrics) observeDecisions(ds []introspect.Decision) {
 	}
 	m.mu.Lock()
 	for _, d := range ds {
-		m.decisions[d.Metric+"|"+d.Verdict]++
+		m.c.Decisions[d.Metric+"|"+d.Verdict]++
 	}
 	m.mu.Unlock()
 }
@@ -116,10 +81,10 @@ func (m *Metrics) observeDecisions(ds []introspect.Decision) {
 // gauge.
 func (m *Metrics) observeStageAlloc(stage string, bytes uint64, nodes int) {
 	m.mu.Lock()
-	m.stageAllocBytes[stage] += bytes
-	m.stageLastAllocBytes[stage] = bytes
+	m.c.Mem.StageAllocBytes[stage] += bytes
+	m.c.Mem.LastStageAllocBytes[stage] = bytes
 	if nodes > 0 {
-		m.bytesPerNode = bytes / uint64(nodes)
+		m.c.Mem.BytesPerNode = bytes / uint64(nodes)
 	}
 	m.mu.Unlock()
 }
@@ -195,12 +160,16 @@ type MetricsSnapshot struct {
 	} `json:"queue"`
 	StageLatencyMS map[string]histJSON `json:"stage_latency_ms"`
 	// Decisions is the aggregated introspection decision audit:
-	// "metric|verdict" → count.
+	// "metric|verdict" → count (metric labels never contain '|';
+	// products spell "a*b").
 	Decisions map[string]uint64 `json:"decisions,omitempty"`
 	Mem       struct {
 		// StageAllocBytes is cumulative bytes allocated per pipeline
-		// stage (process-wide TotalAlloc deltas — see Metrics); Last is
-		// the most recent solve's delta per stage.
+		// stage, fed by memObserver; Last is the most recent solve's
+		// delta per stage. Deltas are process-wide TotalAlloc
+		// differences, so concurrent solves bleed into each other's
+		// numbers — a capacity-planning signal, not an exact
+		// attribution.
 		StageAllocBytes     map[string]uint64 `json:"stage_alloc_bytes,omitempty"`
 		LastStageAllocBytes map[string]uint64 `json:"last_stage_alloc_bytes,omitempty"`
 		// BytesPerNode is the latest solve's main-pass allocation
@@ -219,35 +188,15 @@ type MetricsSnapshot struct {
 func (m *Metrics) snapshot(workers, capacity, diskEntries int, proc procStats) MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var s MetricsSnapshot
-	s.Requests = m.requests
-	s.Cache.Hits = m.cacheHits
-	s.Cache.Misses = m.cacheMisses
-	s.Cache.Dedup = m.dedups
-	s.Disk.Hits = m.diskHits
-	s.Disk.Writes = m.diskWrites
-	s.Disk.Corrupt = m.diskCorrupt
-	s.Disk.Entries = diskEntries
-	s.Solves = m.solves
-	s.PrePassShared = m.prePassShared
-	s.Batches = m.batches
-	s.BatchJobs = m.batchJobs
-	s.Streams = m.streams
-	if len(m.peerForwarded) > 0 {
-		s.Peers.Forwarded = copyCounts(m.peerForwarded)
-	}
-	if len(m.peerErrors) > 0 {
-		s.Peers.Errors = copyCounts(m.peerErrors)
-	}
-	s.Peers.Fallbacks = m.peerFallbacks
-	s.Rejected.Invalid = m.rejectedInvalid
-	s.Rejected.Overload = m.rejectedLoad
-	s.Timeouts = m.timeouts
-	s.InternalErrs = m.internalErrs
-	s.Queue.InFlight = m.inFlight
-	s.Queue.Depth = m.queued
+	s := m.c
+	s.Peers.Forwarded = copyCounts(s.Peers.Forwarded)
+	s.Peers.Errors = copyCounts(s.Peers.Errors)
+	s.Decisions = copyCounts(s.Decisions)
+	s.Mem.StageAllocBytes = copyCounts(s.Mem.StageAllocBytes)
+	s.Mem.LastStageAllocBytes = copyCounts(s.Mem.LastStageAllocBytes)
 	s.Queue.Workers = workers
 	s.Queue.Capacity = capacity
+	s.Disk.Entries = diskEntries
 	s.StageLatencyMS = make(map[string]histJSON, len(m.stageLatency))
 	for stage, h := range m.stageLatency {
 		hj := histJSON{Count: h.N, SumMS: h.Sum, Buckets: make(map[string]uint64, len(h.Counts))}
@@ -262,14 +211,6 @@ func (m *Metrics) snapshot(workers, capacity, diskEntries int, proc procStats) M
 		}
 		s.StageLatencyMS[stage] = hj
 	}
-	if len(m.decisions) > 0 {
-		s.Decisions = copyCounts(m.decisions)
-	}
-	if len(m.stageAllocBytes) > 0 {
-		s.Mem.StageAllocBytes = copyCounts(m.stageAllocBytes)
-		s.Mem.LastStageAllocBytes = copyCounts(m.stageLastAllocBytes)
-	}
-	s.Mem.BytesPerNode = m.bytesPerNode
 	s.Mem.HeapInuseBytes = proc.heapInuse
 	s.UptimeMS = proc.uptime.Milliseconds()
 	s.Goroutines = proc.goroutines
@@ -281,7 +222,11 @@ func leLabel(bound float64) string {
 	return "le_" + string(b)
 }
 
+// copyCounts deep-copies a counter map; an empty map copies to nil.
 func copyCounts(m map[string]uint64) map[string]uint64 {
+	if len(m) == 0 {
+		return nil
+	}
 	out := make(map[string]uint64, len(m))
 	for k, v := range m {
 		out[k] = v

@@ -162,7 +162,7 @@ func (s *Service) forwardJSON(w http.ResponseWriter, r *http.Request, peer, path
 	}
 	defer resp.Body.Close()
 
-	s.metrics.addPeer(s.metrics.peerForwarded, peer)
+	s.metrics.addPeer(s.metrics.c.Peers.Forwarded, peer)
 	reqInfoFrom(r.Context()).set(func(ri *reqInfo) { ri.peer = peer })
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -175,8 +175,8 @@ func (s *Service) forwardJSON(w http.ResponseWriter, r *http.Request, peer, path
 // noteForwardError records a failed forward attempt; the caller falls
 // back to a local solve.
 func (s *Service) noteForwardError(peer string) {
-	s.metrics.addPeer(s.metrics.peerErrors, peer)
-	s.metrics.add(&s.metrics.peerFallbacks)
+	s.metrics.addPeer(s.metrics.c.Peers.Errors, peer)
+	s.metrics.add(&s.metrics.c.Peers.Fallbacks)
 }
 
 // copyFlush is io.Copy with a flush after every read, so chunked

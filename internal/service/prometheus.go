@@ -55,56 +55,57 @@ func collectProcStats(m *Metrics) procStats {
 func (m *Metrics) writePrometheus(w io.Writer, workers, capacity, diskEntries int, proc procStats) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	c := &m.c
 	p := obs.NewPromWriter(w)
 
-	p.Counter("ptad_requests_total", "Analysis requests received.", float64(m.requests))
-	p.Counter("ptad_cache_hits_total", "Requests served from the result cache.", float64(m.cacheHits))
-	p.Counter("ptad_cache_misses_total", "Requests that required a solve.", float64(m.cacheMisses))
-	p.Counter("ptad_cache_dedup_total", "Requests coalesced onto an identical in-flight solve.", float64(m.dedups))
-	p.Counter("ptad_solves_total", "Completed solver runs.", float64(m.solves))
-	p.Counter("ptad_pre_pass_shared_total", "Introspective runs that reused a cached insensitive pre-pass.", float64(m.prePassShared))
-	p.Counter("ptad_rejected_invalid_total", "Requests rejected as invalid (HTTP 400).", float64(m.rejectedInvalid))
-	p.Counter("ptad_rejected_overload_total", "Requests shed by admission control (HTTP 429).", float64(m.rejectedLoad))
-	p.Counter("ptad_timeouts_total", "Requests whose deadline expired (HTTP 504).", float64(m.timeouts))
-	p.Counter("ptad_internal_errors_total", "Requests failed by internal errors (HTTP 500).", float64(m.internalErrs))
-	p.Counter("ptad_disk_hits_total", "Cache hits served from the durable result store.", float64(m.diskHits))
-	p.Counter("ptad_disk_writes_total", "Results spilled to the durable result store.", float64(m.diskWrites))
-	p.Counter("ptad_disk_corrupt_total", "Durable store files rejected by verify-on-read.", float64(m.diskCorrupt))
-	p.Counter("ptad_batches_total", "Batch requests received.", float64(m.batches))
-	p.Counter("ptad_batch_jobs_total", "Jobs submitted through batch requests.", float64(m.batchJobs))
-	p.Counter("ptad_streams_total", "Streaming analyze responses served.", float64(m.streams))
-	p.Counter("ptad_peer_fallbacks_total", "Peer forwards that fell back to a local solve.", float64(m.peerFallbacks))
+	p.Counter("ptad_requests_total", "Analysis requests received.", float64(c.Requests))
+	p.Counter("ptad_cache_hits_total", "Requests served from the result cache.", float64(c.Cache.Hits))
+	p.Counter("ptad_cache_misses_total", "Requests that required a solve.", float64(c.Cache.Misses))
+	p.Counter("ptad_cache_dedup_total", "Requests coalesced onto an identical in-flight solve.", float64(c.Cache.Dedup))
+	p.Counter("ptad_solves_total", "Completed solver runs.", float64(c.Solves))
+	p.Counter("ptad_pre_pass_shared_total", "Introspective runs that reused a cached insensitive pre-pass.", float64(c.PrePassShared))
+	p.Counter("ptad_rejected_invalid_total", "Requests rejected as invalid (HTTP 400).", float64(c.Rejected.Invalid))
+	p.Counter("ptad_rejected_overload_total", "Requests shed by admission control (HTTP 429).", float64(c.Rejected.Overload))
+	p.Counter("ptad_timeouts_total", "Requests whose deadline expired (HTTP 504).", float64(c.Timeouts))
+	p.Counter("ptad_internal_errors_total", "Requests failed by internal errors (HTTP 500).", float64(c.InternalErrs))
+	p.Counter("ptad_disk_hits_total", "Cache hits served from the durable result store.", float64(c.Disk.Hits))
+	p.Counter("ptad_disk_writes_total", "Results spilled to the durable result store.", float64(c.Disk.Writes))
+	p.Counter("ptad_disk_corrupt_total", "Durable store files rejected by verify-on-read.", float64(c.Disk.Corrupt))
+	p.Counter("ptad_batches_total", "Batch requests received.", float64(c.Batches))
+	p.Counter("ptad_batch_jobs_total", "Jobs submitted through batch requests.", float64(c.BatchJobs))
+	p.Counter("ptad_streams_total", "Streaming analyze responses served.", float64(c.Streams))
+	p.Counter("ptad_peer_fallbacks_total", "Peer forwards that fell back to a local solve.", float64(c.Peers.Fallbacks))
 
 	fwd := p.CounterFamily("ptad_peer_forwarded_total", "Requests forwarded to each peer.")
-	for _, peer := range sortedKeys(m.peerForwarded) {
-		fwd.Series(obs.Labels{"peer": peer}, float64(m.peerForwarded[peer]))
+	for _, peer := range sortedKeys(c.Peers.Forwarded) {
+		fwd.Series(obs.Labels{"peer": peer}, float64(c.Peers.Forwarded[peer]))
 	}
 	perr := p.CounterFamily("ptad_peer_errors_total", "Failed forward attempts per peer.")
-	for _, peer := range sortedKeys(m.peerErrors) {
-		perr.Series(obs.Labels{"peer": peer}, float64(m.peerErrors[peer]))
+	for _, peer := range sortedKeys(c.Peers.Errors) {
+		perr.Series(obs.Labels{"peer": peer}, float64(c.Peers.Errors[peer]))
 	}
 
-	p.Gauge("ptad_in_flight", "Solves currently holding a worker slot.", float64(m.inFlight))
-	p.Gauge("ptad_queued", "Admitted requests waiting for a worker slot.", float64(m.queued))
+	p.Gauge("ptad_in_flight", "Solves currently holding a worker slot.", float64(c.Queue.InFlight))
+	p.Gauge("ptad_queued", "Admitted requests waiting for a worker slot.", float64(c.Queue.Depth))
 	p.Gauge("ptad_workers", "Configured worker-pool size.", float64(workers))
 	p.Gauge("ptad_capacity", "Admission capacity (workers + queue depth).", float64(capacity))
 	p.Gauge("ptad_disk_entries", "Entries in the durable result store.", float64(diskEntries))
 
 	dec := p.CounterFamily("ptad_intro_decisions_total", "Introspection refine/demote decisions, by metric clause and verdict.")
-	for _, k := range sortedKeys(m.decisions) {
+	for _, k := range sortedKeys(c.Decisions) {
 		metric, verdict, _ := strings.Cut(k, "|")
-		dec.Series(obs.Labels{"metric": metric, "verdict": verdict}, float64(m.decisions[k]))
+		dec.Series(obs.Labels{"metric": metric, "verdict": verdict}, float64(c.Decisions[k]))
 	}
 
 	alloc := p.CounterFamily("ptad_stage_alloc_bytes_total", "Cumulative bytes allocated per pipeline stage (process-wide deltas).")
-	for _, st := range sortedKeys(m.stageAllocBytes) {
-		alloc.Series(obs.Labels{"stage": st}, float64(m.stageAllocBytes[st]))
+	for _, st := range sortedKeys(c.Mem.StageAllocBytes) {
+		alloc.Series(obs.Labels{"stage": st}, float64(c.Mem.StageAllocBytes[st]))
 	}
 	lastAlloc := p.GaugeFamily("ptad_stage_alloc_last_bytes", "Most recent solve's allocation delta per pipeline stage.")
-	for _, st := range sortedKeys(m.stageLastAllocBytes) {
-		lastAlloc.Series(obs.Labels{"stage": st}, float64(m.stageLastAllocBytes[st]))
+	for _, st := range sortedKeys(c.Mem.LastStageAllocBytes) {
+		lastAlloc.Series(obs.Labels{"stage": st}, float64(c.Mem.LastStageAllocBytes[st]))
 	}
-	p.Gauge("ptad_bytes_per_constraint_node", "Latest main-pass allocation divided by its constraint-node count.", float64(m.bytesPerNode))
+	p.Gauge("ptad_bytes_per_constraint_node", "Latest main-pass allocation divided by its constraint-node count.", float64(c.Mem.BytesPerNode))
 
 	info := p.GaugeFamily("ptad_build_info", "Build metadata; value is always 1.")
 	info.Series(obs.Labels{"go_version": proc.goVersion, "version": proc.version}, 1)
@@ -112,20 +113,15 @@ func (m *Metrics) writePrometheus(w io.Writer, workers, capacity, diskEntries in
 	p.Gauge("ptad_goroutines", "Live goroutine count.", float64(proc.goroutines))
 	p.Gauge("ptad_heap_inuse_bytes", "Bytes in in-use heap spans (runtime.MemStats.HeapInuse).", float64(proc.heapInuse))
 
-	stages := make([]string, 0, len(m.stageLatency))
-	for stage := range m.stageLatency {
-		stages = append(stages, stage)
-	}
-	sort.Strings(stages)
 	h := p.HistogramFamily("ptad_stage_latency_ms", "Pipeline stage wall time in milliseconds.")
-	for _, stage := range stages {
+	for _, stage := range sortedKeys(m.stageLatency) {
 		hist := m.stageLatency[stage]
 		h.Series(obs.Labels{"stage": stage}, histBoundsMS, hist.Counts, hist.Sum, hist.N)
 	}
 	return p.Err()
 }
 
-func sortedKeys(m map[string]uint64) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

@@ -45,39 +45,39 @@ var goldenProc = procStats{goVersion: "go1.23.0", version: "(devel)", uptime: 42
 // goldenMetrics is the metrics state both goldens render.
 func goldenMetrics() *Metrics {
 	m := newMetrics()
-	m.requests = 7
-	m.cacheHits = 2
-	m.cacheMisses = 4
-	m.dedups = 1
-	m.solves = 4
-	m.prePassShared = 1
-	m.rejectedInvalid = 1
-	m.rejectedLoad = 2
-	m.timeouts = 1
-	m.diskHits = 1
-	m.diskWrites = 3
-	m.batches = 1
-	m.batchJobs = 9
-	m.streams = 2
-	m.peerForwarded["http://node-a:8372"] = 2
-	m.peerForwarded["http://node-b:8372"] = 5
-	m.peerErrors["http://node-b:8372"] = 1
-	m.peerFallbacks = 1
-	m.inFlight = 1
-	m.queued = 2
+	m.c.Requests = 7
+	m.c.Cache.Hits = 2
+	m.c.Cache.Misses = 4
+	m.c.Cache.Dedup = 1
+	m.c.Solves = 4
+	m.c.PrePassShared = 1
+	m.c.Rejected.Invalid = 1
+	m.c.Rejected.Overload = 2
+	m.c.Timeouts = 1
+	m.c.Disk.Hits = 1
+	m.c.Disk.Writes = 3
+	m.c.Batches = 1
+	m.c.BatchJobs = 9
+	m.c.Streams = 2
+	m.c.Peers.Forwarded["http://node-a:8372"] = 2
+	m.c.Peers.Forwarded["http://node-b:8372"] = 5
+	m.c.Peers.Errors["http://node-b:8372"] = 1
+	m.c.Peers.Fallbacks = 1
+	m.c.Queue.InFlight = 1
+	m.c.Queue.Depth = 2
 	// Deterministic bucket placement: 7ms → le=10, 40ms → le=50,
 	// 0.5ms → le=1.
 	m.observeStage("main-pass", 7*time.Millisecond)
 	m.observeStage("main-pass", 40*time.Millisecond)
 	m.observeStage("pre-pass", 500*time.Microsecond)
-	m.decisions["in-flow|demote"] = 3
-	m.decisions["in-flow|refine"] = 11
-	m.decisions["total-field-points-to*pointed-by-vars|demote"] = 2
-	m.stageAllocBytes["main-pass"] = 1048576
-	m.stageAllocBytes["pre-pass"] = 524288
-	m.stageLastAllocBytes["main-pass"] = 262144
-	m.stageLastAllocBytes["pre-pass"] = 131072
-	m.bytesPerNode = 512
+	m.c.Decisions["in-flow|demote"] = 3
+	m.c.Decisions["in-flow|refine"] = 11
+	m.c.Decisions["total-field-points-to*pointed-by-vars|demote"] = 2
+	m.c.Mem.StageAllocBytes["main-pass"] = 1048576
+	m.c.Mem.StageAllocBytes["pre-pass"] = 524288
+	m.c.Mem.LastStageAllocBytes["main-pass"] = 262144
+	m.c.Mem.LastStageAllocBytes["pre-pass"] = 131072
+	m.c.Mem.BytesPerNode = 512
 	return m
 }
 

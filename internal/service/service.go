@@ -287,11 +287,11 @@ func (s *Service) Analyze(ctx context.Context, req Request) (*analysis.RunJSON, 
 // and deduplicated waits produce no callbacks — there is no solve to
 // observe.
 func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Observer) (*analysis.RunJSON, *Error) {
-	s.metrics.add(&s.metrics.requests)
+	s.metrics.add(&s.metrics.c.Requests)
 
 	req, serr := s.validate(req)
 	if serr != nil {
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.c.Rejected.Invalid)
 		return nil, serr
 	}
 	reqInfoFrom(ctx).set(func(ri *reqInfo) {
@@ -307,7 +307,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 
 	canon, err := req.Job.Canonical()
 	if err != nil {
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.c.Rejected.Invalid)
 		return nil, errf(CodeBadRequest, "encoding job: %v", err)
 	}
 	pk := progKey(req.Lang, req.Name, req.Source)
@@ -323,7 +323,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 	// own, still-live deadline instead of inheriting the failure.
 	for first := true; ; first = false {
 		if resp, ok := s.results.get(key); ok {
-			s.metrics.add(&s.metrics.cacheHits)
+			s.metrics.add(&s.metrics.c.Cache.Hits)
 			// A memory hit is a logical hit on the durable entry too:
 			// refresh its recency so the on-disk LRU (and the
 			// mtime-ordered index a restart rebuilds) tracks real access
@@ -335,12 +335,12 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 		// previous incarnation sharing the cache dir — is a hit too.
 		// Promote it to the memory LRU so repeats skip the file read.
 		if doc, corrupt := s.store.get(key); doc != nil {
-			s.metrics.add(&s.metrics.cacheHits)
-			s.metrics.add(&s.metrics.diskHits)
+			s.metrics.add(&s.metrics.c.Cache.Hits)
+			s.metrics.add(&s.metrics.c.Disk.Hits)
 			s.results.put(key, doc)
 			return s.finish(ctx, doc, req, "hit"), nil
 		} else if corrupt {
-			s.metrics.add(&s.metrics.diskCorrupt)
+			s.metrics.add(&s.metrics.c.Disk.Corrupt)
 		}
 
 		s.mu.Lock()
@@ -348,7 +348,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 		if f == nil {
 			if s.pending >= s.cfg.Workers+s.cfg.QueueDepth {
 				s.mu.Unlock()
-				s.metrics.add(&s.metrics.rejectedLoad)
+				s.metrics.add(&s.metrics.c.Rejected.Overload)
 				return nil, errf(CodeOverloaded, "at capacity: %d in flight or queued (workers=%d queue=%d)",
 					s.cfg.Workers+s.cfg.QueueDepth, s.cfg.Workers, s.cfg.QueueDepth)
 			}
@@ -360,7 +360,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 		s.mu.Unlock()
 
 		if owner {
-			s.metrics.add(&s.metrics.cacheMisses)
+			s.metrics.add(&s.metrics.c.Cache.Misses)
 			// The solve runs detached from the owning connection (but
 			// under the same absolute deadline): if the owner
 			// disconnects, the requests deduplicated behind it still get
@@ -369,7 +369,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 			dl, _ := ctx.Deadline()
 			solveCtx, cancel := context.WithDeadline(context.WithoutCancel(ctx), dl)
 			s.metrics.mu.Lock()
-			s.metrics.queued++
+			s.metrics.c.Queue.Depth++
 			s.metrics.mu.Unlock()
 			go func() {
 				defer cancel()
@@ -388,12 +388,12 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 			case f.err == nil && owner:
 				return s.finish(ctx, f.resp, req, "miss"), nil
 			case f.err == nil:
-				s.metrics.add(&s.metrics.dedups)
+				s.metrics.add(&s.metrics.c.Cache.Dedup)
 				return s.finish(ctx, f.resp, req, "dedup"), nil
 			case owner:
 				return nil, f.err
 			case ctx.Err() != nil:
-				s.metrics.add(&s.metrics.timeouts)
+				s.metrics.add(&s.metrics.c.Timeouts)
 				return nil, errf(CodeDeadline, "deadline expired waiting for identical in-flight request")
 			default:
 				// The owner failed but this request's deadline is still
@@ -404,7 +404,7 @@ func (s *Service) analyze(ctx context.Context, req Request, extra analysis.Obser
 				continue
 			}
 		case <-ctx.Done():
-			s.metrics.add(&s.metrics.timeouts)
+			s.metrics.add(&s.metrics.c.Timeouts)
 			if first {
 				return nil, errf(CodeDeadline, "deadline expired waiting for identical in-flight request")
 			}
@@ -425,8 +425,8 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	case s.slots <- struct{}{}:
 	case <-ctx.Done():
 		s.metrics.mu.Lock()
-		s.metrics.queued--
-		s.metrics.timeouts++
+		s.metrics.c.Queue.Depth--
+		s.metrics.c.Timeouts++
 		s.metrics.mu.Unlock()
 		return nil, errf(CodeDeadline, "deadline expired waiting for a worker")
 	}
@@ -436,13 +436,13 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// lines carry none.
 	reqInfoFrom(ctx).set(func(ri *reqInfo) { ri.queueMS = time.Since(enqueued).Milliseconds() })
 	s.metrics.mu.Lock()
-	s.metrics.queued--
-	s.metrics.inFlight++
+	s.metrics.c.Queue.Depth--
+	s.metrics.c.Queue.InFlight++
 	s.metrics.mu.Unlock()
 	defer func() {
 		<-s.slots
 		s.metrics.mu.Lock()
-		s.metrics.inFlight--
+		s.metrics.c.Queue.InFlight--
 		s.metrics.mu.Unlock()
 	}()
 
@@ -493,11 +493,11 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 		(!req.Provenance || first.ProvenanceEnabled()) &&
 		first.Workers == effectiveJobWorkers(req.Job.Workers) {
 		areq.First = first
-		s.metrics.add(&s.metrics.prePassShared)
+		s.metrics.add(&s.metrics.c.PrePassShared)
 	}
 
 	res, runErr := analysis.Run(ctx, areq)
-	s.metrics.add(&s.metrics.solves)
+	s.metrics.add(&s.metrics.c.Solves)
 	if res != nil {
 		for _, st := range res.Stages {
 			s.metrics.observeStage(st.Stage, st.Wall)
@@ -514,10 +514,10 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 			// Deterministic, reportable outcome (the paper's TIMEOUT
 			// rows): fall through and cache it like a success.
 		case ctx.Err() != nil:
-			s.metrics.add(&s.metrics.timeouts)
+			s.metrics.add(&s.metrics.c.Timeouts)
 			return nil, errf(CodeDeadline, "deadline expired after %s", deadlineStage(res))
 		default:
-			s.metrics.add(&s.metrics.internalErrs)
+			s.metrics.add(&s.metrics.c.InternalErrs)
 			return nil, errf(CodeInternal, "%v", runErr)
 		}
 	}
@@ -540,7 +540,7 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// correctness; the memory cache already has the entry.
 	if s.store != nil {
 		if err := s.store.put(key, resp); err == nil {
-			s.metrics.add(&s.metrics.diskWrites)
+			s.metrics.add(&s.metrics.c.Disk.Writes)
 		}
 	}
 	return resp, nil

@@ -33,12 +33,12 @@ func (s *Service) streamAnalyze(w http.ResponseWriter, r *http.Request, req Requ
 	// re-validates the resolved request; validation is idempotent.
 	req, serr := s.validate(req)
 	if serr != nil {
-		s.metrics.add(&s.metrics.requests)
-		s.metrics.add(&s.metrics.rejectedInvalid)
+		s.metrics.add(&s.metrics.c.Requests)
+		s.metrics.add(&s.metrics.c.Rejected.Invalid)
 		writeError(w, serr)
 		return
 	}
-	s.metrics.add(&s.metrics.streams)
+	s.metrics.add(&s.metrics.c.Streams)
 
 	// Events flow from the solver's goroutine through a buffered
 	// channel. The observer must never block the solve (the Observer

@@ -130,7 +130,7 @@ func (s *Service) forwardAnalyzeTraced(w http.ResponseWriter, r *http.Request, p
 	}
 	fsp.Set("status", resp.StatusCode)
 	fsp.End()
-	s.metrics.addPeer(s.metrics.peerForwarded, peer)
+	s.metrics.addPeer(s.metrics.c.Peers.Forwarded, peer)
 	reqInfoFrom(r.Context()).set(func(ri *reqInfo) { ri.peer = peer })
 
 	var doc analysis.RunJSON
