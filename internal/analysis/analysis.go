@@ -366,7 +366,6 @@ func solvePass(ctx context.Context, stageName string, req *Request, prog *ir.Pro
 	opts.Provenance = req.Provenance
 	opts.Workers = req.Job.Workers
 	if obs := req.Observer; obs != nil {
-		opts.Progress = func(work int64) { obs.Progress(stageName, work) }
 		opts.Snapshot = func(sn pta.Snapshot) { obs.SolveSnapshot(stageName, sn) }
 		opts.SnapshotEvery = req.SnapshotEvery
 	}

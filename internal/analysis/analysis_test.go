@@ -200,9 +200,9 @@ func TestObserverCallbacks(t *testing.T) {
 	var starts, finishes []string
 	var works []int64
 	obs := analysis.ObserverFuncs{
-		OnStageStart:  func(stage string) { starts = append(starts, stage) },
-		OnStageFinish: func(stage string, st analysis.Stats, err error) { finishes = append(finishes, stage) },
-		OnProgress:    func(stage string, work int64) { works = append(works, work) },
+		OnStageStart:    func(stage string) { starts = append(starts, stage) },
+		OnStageFinish:   func(stage string, st analysis.Stats, err error) { finishes = append(finishes, stage) },
+		OnSolveSnapshot: func(stage string, snap pta.Snapshot) { works = append(works, snap.Work) },
 	}
 	res, err := analysis.Run(context.Background(), analysis.Request{
 		Prog: prog, Job: analysis.Job{Spec: "2objH-IntroB"},
@@ -231,11 +231,11 @@ func TestObserverCallbacks(t *testing.T) {
 			t.Errorf("Result.Stages[%d] = %q, want %q", i, st.Stage, want[i])
 		}
 	}
-	// Tiny programs finish under one progress interval; no callbacks is
+	// Tiny programs finish under one snapshot interval; no callbacks is
 	// fine, but any that fired must carry increasing work counts.
 	for i := 1; i < len(works); i++ {
 		if works[i] < works[i-1] {
-			t.Errorf("progress work counts not monotone: %v", works)
+			t.Errorf("snapshot work counts not monotone: %v", works)
 		}
 	}
 }

@@ -6,15 +6,16 @@ import (
 )
 
 // Observer receives pipeline lifecycle callbacks: stage boundaries,
-// periodic solver progress, and sampled solver snapshots. It is the
+// sampled solver snapshots, and the selection stage's decision audit.
+// It is the
 // hook point for tracing, live heartbeats, and metrics exporters; the
 // default is the no-op NopObserver.
 //
 // # Concurrency
 //
 // Within one pipeline run, callbacks are invoked synchronously from
-// that run's goroutine (Progress and SolveSnapshot from inside the
-// solver's worklist loop), so implementations must be fast and must
+// that run's goroutine (SolveSnapshot from inside the solver's
+// worklist loop), so implementations must be fast and must
 // not block — a slow Observer slows the solve it is observing.
 //
 // Across runs there is no such serialization: RunAll executes many
@@ -32,14 +33,12 @@ type Observer interface {
 	// StageFinish fires after a stage completes, with its Stats and
 	// its error (nil on success).
 	StageFinish(stage string, st Stats, err error)
-	// Progress fires periodically during a solver pass (every
-	// pta.DefaultProgressEvery work units) with the running work
-	// count.
-	Progress(stage string, work int64)
 	// SolveSnapshot fires periodically during a solver pass (every
 	// Request.SnapshotEvery work units, default
 	// pta.DefaultSnapshotEvery) with a point-in-time picture of the
-	// solve: worklist depth, interned populations, points-to volume.
+	// solve: running work count, worklist depth, interned populations,
+	// points-to volume. It is the pipeline's one sampled callback; an
+	// observer that only wants progress reads snap.Work.
 	SolveSnapshot(stage string, snap pta.Snapshot)
 	// Decisions fires at most once per run, from the selection stage of
 	// an audited pipeline (Request.Audit), with the heuristic's
@@ -53,7 +52,6 @@ type NopObserver struct{}
 
 func (NopObserver) StageStart(string)                       {}
 func (NopObserver) StageFinish(string, Stats, error)        {}
-func (NopObserver) Progress(string, int64)                  {}
 func (NopObserver) SolveSnapshot(string, pta.Snapshot)      {}
 func (NopObserver) Decisions(string, []introspect.Decision) {}
 
@@ -63,7 +61,6 @@ func (NopObserver) Decisions(string, []introspect.Decision) {}
 type ObserverFuncs struct {
 	OnStageStart    func(stage string)
 	OnStageFinish   func(stage string, st Stats, err error)
-	OnProgress      func(stage string, work int64)
 	OnSolveSnapshot func(stage string, snap pta.Snapshot)
 	OnDecisions     func(stage string, ds []introspect.Decision)
 }
@@ -77,12 +74,6 @@ func (o ObserverFuncs) StageStart(stage string) {
 func (o ObserverFuncs) StageFinish(stage string, st Stats, err error) {
 	if o.OnStageFinish != nil {
 		o.OnStageFinish(stage, st, err)
-	}
-}
-
-func (o ObserverFuncs) Progress(stage string, work int64) {
-	if o.OnProgress != nil {
-		o.OnProgress(stage, work)
 	}
 }
 
@@ -128,12 +119,6 @@ func (m multiObserver) StageStart(stage string) {
 func (m multiObserver) StageFinish(stage string, st Stats, err error) {
 	for _, o := range m {
 		o.StageFinish(stage, st, err)
-	}
-}
-
-func (m multiObserver) Progress(stage string, work int64) {
-	for _, o := range m {
-		o.Progress(stage, work)
 	}
 }
 

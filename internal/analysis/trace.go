@@ -79,8 +79,6 @@ func (t *trackObserver) StageFinish(stage string, st Stats, err error) {
 	sp.End()
 }
 
-func (t *trackObserver) Progress(stage string, work int64) {}
-
 // Decisions summarizes the audit log as one instant event — the full
 // log belongs on the response document, not in the span ring.
 func (t *trackObserver) Decisions(stage string, ds []introspect.Decision) {

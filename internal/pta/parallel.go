@@ -445,14 +445,10 @@ func (s *solver) barrier() bool {
 		s.exceeded = true
 		return false
 	}
-	// Observer hooks fire here, between phases: the contract that
-	// Progress/Snapshot callbacks never run concurrently with each
-	// other or with shard goroutines is what keeps the analysis
-	// layer's Observer requirements unchanged in parallel mode.
-	if s.progress != nil && s.work-s.lastProg >= s.progEvery {
-		s.lastProg = s.work
-		s.progress(s.work)
-	}
+	// The snapshot hook fires here, between phases: the contract that
+	// Snapshot callbacks never run concurrently with each other or
+	// with shard goroutines is what keeps the analysis layer's
+	// Observer requirements unchanged in parallel mode.
 	if s.snapshot != nil && s.work-s.lastSnap >= s.snapEvery {
 		s.lastSnap = s.work
 		s.snapshot(s.takeSnapshot())

@@ -297,10 +297,10 @@ func TestParallelBudgetOvershootBounded(t *testing.T) {
 	}
 }
 
-// TestParallelObserverContract: Progress and Snapshot hooks of a
-// parallel solve fire only between phases — never concurrently with
-// each other or with shard goroutines — and parallel snapshots carry
-// consistent shard-aware state.
+// TestParallelObserverContract: the Snapshot hook of a parallel solve
+// fires only between phases — never concurrently with itself or with
+// shard goroutines — and parallel snapshots carry consistent
+// shard-aware state.
 func TestParallelObserverContract(t *testing.T) {
 	var inHook atomic.Int32
 	enter := func() {
@@ -313,14 +313,6 @@ func TestParallelObserverContract(t *testing.T) {
 	_, err := Analyze(context.Background(), suite.MustLoad("jython"), "2objH", Options{
 		Budget:  2_000_000,
 		Workers: 4,
-		Progress: func(work int64) {
-			enter()
-			defer exit()
-			if work <= 0 {
-				t.Error("progress with non-positive work")
-			}
-		},
-		ProgressEvery: 50_000,
 		Snapshot: func(sn Snapshot) {
 			enter()
 			defer exit()
@@ -336,6 +328,9 @@ func TestParallelObserverContract(t *testing.T) {
 	}
 	var lastRound int64 = -1
 	for _, sn := range snaps {
+		if sn.Work <= 0 {
+			t.Fatalf("snapshot with non-positive work %d", sn.Work)
+		}
 		if sn.Shards != 4 {
 			t.Fatalf("snapshot Shards = %d, want 4", sn.Shards)
 		}
@@ -380,8 +375,8 @@ func TestParallelCancellation(t *testing.T) {
 }
 
 // TestParallelRaceHammer is the -race satellite (wired into `make
-// race` via the internal/pta package): concurrent shards, live
-// Snapshot/Progress observers sampling densely, and cancellation
+// race` via the internal/pta package): concurrent shards, a live
+// Snapshot observer sampling densely, and cancellation
 // landing mid-solve, repeated enough for the race detector to explore
 // interleavings.
 func TestParallelRaceHammer(t *testing.T) {
@@ -398,8 +393,6 @@ func TestParallelRaceHammer(t *testing.T) {
 		_, err := Analyze(ctx, prog, "2objH", Options{
 			Budget:        1_000_000,
 			Workers:       8,
-			Progress:      func(int64) { count.Add(1) },
-			ProgressEvery: 10_000,
 			Snapshot:      func(Snapshot) { count.Add(1) },
 			SnapshotEvery: 10_000,
 		})

@@ -22,17 +22,12 @@ type Options struct {
 	// propagation steps) before the run is abandoned. 0 means
 	// DefaultBudget; negative means unlimited.
 	Budget int64
-	// Progress, if non-nil, is called periodically from the worklist
-	// loop with the current work count — the hook the analysis layer's
-	// Observer uses for live progress reporting.
-	Progress func(work int64)
-	// ProgressEvery is the minimum number of work units between
-	// Progress calls. 0 means DefaultProgressEvery.
-	ProgressEvery int64
 	// Snapshot, if non-nil, is called periodically from the worklist
-	// loop with a point-in-time Snapshot of the solve — the hook the
-	// observability layer uses for solver-level tracing and live
-	// heartbeats. Disabled it costs one nil check per worklist pop
+	// loop with a point-in-time Snapshot of the solve — the solver's
+	// one observation hook, which the analysis layer's Observer uses
+	// for live progress, solver-level tracing and heartbeats. Samples
+	// fall on the deterministic work clock, so identical runs are
+	// observed at identical points. Disabled it costs one nil check per worklist pop
 	// (the same pattern as the provenance recorder); enabled, each
 	// sample scans the per-node length arrays, so the cost is
 	// O(nodes / SnapshotEvery) per work unit and is controlled
@@ -77,14 +72,10 @@ const MaxWorkers = 64
 // 90-minute timeout.
 const DefaultBudget int64 = 150_000_000
 
-// DefaultProgressEvery is the default work-unit interval between
-// Options.Progress callbacks.
-const DefaultProgressEvery int64 = 1 << 22
-
 // DefaultSnapshotEvery is the default work-unit interval between
-// Options.Snapshot callbacks. It matches DefaultProgressEvery: a
-// snapshot costs an O(nodes) scan, so the default keeps sampling well
-// under 1% of solve time even on exploding runs.
+// Options.Snapshot callbacks. A snapshot costs an O(nodes) scan, so
+// the default keeps sampling well under 1% of solve time even on
+// exploding runs.
 const DefaultSnapshotEvery int64 = 1 << 22
 
 // Snapshot is a point-in-time picture of a running solve, emitted
@@ -272,9 +263,6 @@ type solver struct {
 	ctx       context.Context
 	ctxErr    error
 	popCount  int
-	progress  func(work int64)
-	progEvery int64
-	lastProg  int64
 	snapshot  func(Snapshot)
 	snapEvery int64
 	lastSnap  int64
@@ -317,13 +305,8 @@ func Solve(ctx context.Context, prog *ir.Program, strat Strategy, tab *Table, op
 		invoTargets: make([]map[ir.MethodID]struct{}, prog.NumInvos()),
 		budget:      opts.budget(),
 		ctx:         ctx,
-		progress:    opts.Progress,
-		progEvery:   opts.ProgressEvery,
 		snapshot:    opts.Snapshot,
 		snapEvery:   opts.SnapshotEvery,
-	}
-	if s.progEvery <= 0 {
-		s.progEvery = DefaultProgressEvery
 	}
 	if s.snapEvery <= 0 {
 		s.snapEvery = DefaultSnapshotEvery
@@ -795,8 +778,8 @@ func (s *solver) linkCall(c *ir.Call, callerCtx Ctx, toMeth ir.MethodID, calleeC
 
 // interrupted is the per-iteration stop check of the worklist loop: the
 // deterministic work budget every pop, the context (cancellation or
-// deadline) every checkCtxEvery pops, and the optional progress
-// callback every progEvery work units.
+// deadline) every checkCtxEvery pops, and the optional snapshot
+// callback every snapEvery work units.
 func (s *solver) interrupted() bool {
 	if s.work > s.budget {
 		s.exceeded = true
@@ -808,10 +791,6 @@ func (s *solver) interrupted() bool {
 			s.ctxErr = err
 			return true
 		}
-	}
-	if s.progress != nil && s.work-s.lastProg >= s.progEvery {
-		s.lastProg = s.work
-		s.progress(s.work)
 	}
 	if s.snapshot != nil && s.work-s.lastSnap >= s.snapEvery {
 		s.lastSnap = s.work

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"introspect/internal/analysis"
-	"introspect/internal/introspect"
 	"introspect/internal/pta"
 	ptav1 "introspect/pta/v1"
 )
@@ -42,28 +41,19 @@ func (f *flightMeta) setSnapshot(snap pta.Snapshot) {
 	f.mu.Unlock()
 }
 
-// observer adapts the flight record to the pipeline's Observer
-// interface. Progress (the cheap high-frequency callback) keeps the
-// work counter fresh between full snapshots.
-type flightObserver struct{ fl *flightMeta }
+// flightObserver adapts the flight record to the pipeline's Observer
+// interface: the current stage from StageStart, the work counter and
+// the rest of the solver state from SolveSnapshot.
+type flightObserver struct {
+	analysis.NopObserver
+	fl *flightMeta
+}
 
 func (o flightObserver) StageStart(stage string) { o.fl.setStage(stage) }
-
-func (o flightObserver) StageFinish(string, analysis.Stats, error) {}
-
-func (o flightObserver) Progress(stage string, work int64) {
-	o.fl.mu.Lock()
-	if work > o.fl.snap.Work {
-		o.fl.snap.Work = work
-	}
-	o.fl.mu.Unlock()
-}
 
 func (o flightObserver) SolveSnapshot(stage string, snap pta.Snapshot) {
 	o.fl.setSnapshot(snap)
 }
-
-func (o flightObserver) Decisions(string, []introspect.Decision) {}
 
 // registerFlight adds a record for one admitted solve; the caller must
 // deregister it (deferred) when the solve returns.
@@ -123,9 +113,7 @@ func (s *Service) Flights() []FlightInfo {
 		if fl.snap.Work > 0 {
 			snap := fl.snap
 			info.Snapshot = &snap
-			if !fl.snapAt.IsZero() {
-				info.SnapshotAgeMS = now.Sub(fl.snapAt).Milliseconds()
-			}
+			info.SnapshotAgeMS = now.Sub(fl.snapAt).Milliseconds()
 		}
 		fl.mu.Unlock()
 		out[i] = info

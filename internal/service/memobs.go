@@ -5,8 +5,6 @@ import (
 	"sync"
 
 	"introspect/internal/analysis"
-	"introspect/internal/introspect"
-	"introspect/internal/pta"
 )
 
 // memObserver samples runtime.MemStats at stage boundaries and reports
@@ -18,6 +16,7 @@ import (
 // concurrent solves inflate each other's deltas; the numbers size
 // capacity, they do not attribute allocations exactly.
 type memObserver struct {
+	analysis.NopObserver
 	m *Metrics
 
 	mu      sync.Mutex
@@ -47,7 +46,3 @@ func (o *memObserver) StageFinish(stage string, st analysis.Stats, err error) {
 	}
 	o.m.observeStageAlloc(stage, delta, nodes)
 }
-
-func (o *memObserver) Progress(string, int64)                  {}
-func (o *memObserver) SolveSnapshot(string, pta.Snapshot)      {}
-func (o *memObserver) Decisions(string, []introspect.Decision) {}

@@ -455,7 +455,7 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 	// Heartbeats (GET /v1/flights) and memory telemetry always; trace
 	// spans when the service has a tracer. One track per solve keeps
 	// concurrent requests on separate lanes in the viewer.
-	observer := analysis.Observers(flightObserver{fl}, &memObserver{m: s.metrics})
+	observer := analysis.Observers(flightObserver{fl: fl}, &memObserver{m: s.metrics})
 	if s.cfg.Tracer != nil {
 		track := s.cfg.Tracer.NewTrack(fmt.Sprintf("#%d %s %s", fl.id, req.Name, req.Job.Spec))
 		observer = analysis.Observers(observer, analysis.TrackObserver(track))
