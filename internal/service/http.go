@@ -93,30 +93,26 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, serr)
 		return
 	}
-	if peer, ok := s.routePeer(r, req.Lang, req.Name, req.Source); ok {
-		if req.Trace && !req.Stream {
-			// Traced forwards buffer the peer's response and stitch its
-			// trace onto this node's; a false return falls back to a
-			// local solve, same as the verbatim path.
-			if s.forwardAnalyzeTraced(w, r, peer, req, s.startReqTrace(r, requestID(r))) {
-				return
-			}
-		} else if s.forwardJSON(w, r, peer, "/v1/analyze", req) {
-			return
-		}
+	// A traced request gets its own tracer: the root span covers the
+	// whole handling (so a cache hit traces the lookup, and a forward
+	// its hop), and when this request ends up owning the solve, the
+	// track observer adds a span per pipeline stage. Streams carry
+	// their progress as events instead.
+	var rt *reqTrace
+	if req.Trace && !req.Stream {
+		rt = s.startReqTrace(r, requestID(r))
+	}
+	// A false return (the owner is unreachable) falls back to a local
+	// solve.
+	if peer, ok := s.routePeer(r, req.Lang, req.Name, req.Source); ok && s.forward(w, r, peer, "/v1/analyze", req, rt) {
+		return
 	}
 	if req.Stream {
 		s.streamAnalyze(w, r, req)
 		return
 	}
-	// A traced request gets its own tracer: the root span covers the
-	// whole handling (so a cache hit traces the lookup), and when this
-	// request ends up owning the solve, the track observer adds a span
-	// per pipeline stage.
-	var rt *reqTrace
 	var extra analysis.Observer
-	if req.Trace {
-		rt = s.startReqTrace(r, requestID(r))
+	if rt != nil {
 		extra = analysis.TrackObserver(rt.track)
 	}
 	resp, serr := s.analyze(r.Context(), req, extra)
@@ -142,7 +138,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if peer, ok := s.routePeer(r, req.Lang, req.Name, req.Source); ok {
-		if s.forwardJSON(w, r, peer, "/v1/batch", req) {
+		if s.forward(w, r, peer, "/v1/batch", req, nil) {
 			return
 		}
 	}

@@ -11,6 +11,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"introspect/internal/obs"
 )
 
 // ForwardHeader marks a request that was already routed by a peer.
@@ -133,19 +135,24 @@ func (s *Service) routePeer(r *http.Request, lang, name, source string) (string,
 	return peer, true
 }
 
-// forwardJSON re-issues the decoded request to peer as a JSON POST and
-// copies the response through verbatim (status, content type, body —
-// flushing as it goes, so forwarded streams stay live). It returns
-// false if the peer could not be reached, in which case the caller
-// serves locally: a down peer degrades the fleet to per-node caching,
-// never to an error the client sees.
-func (s *Service) forwardJSON(w http.ResponseWriter, r *http.Request, peer, path string, body any) bool {
+// forward re-issues the decoded request to peer as a JSON POST to
+// path. It returns false if the peer could not be reached, in which
+// case the caller serves locally: a down peer degrades the fleet to
+// per-node caching, never to an error the client sees.
+//
+// Untraced (rt nil), the response is copied through verbatim — status,
+// content type, body — flushing as it goes, so forwarded streams stay
+// live. A traced forward (rt non-nil; non-stream /v1/analyze) also
+// opens a "forward" span, sends the trace context with the request,
+// and buffers the response: a run document comes back with the
+// stitched two-node trace (see writeStitched); anything else passes
+// through verbatim.
+func (s *Service) forward(w http.ResponseWriter, r *http.Request, peer, path string, body any, rt *reqTrace) bool {
 	b, err := json.Marshal(body)
-	if err != nil {
-		s.noteForwardError(peer)
-		return false
+	var req *http.Request
+	if err == nil {
+		req, err = http.NewRequestWithContext(r.Context(), http.MethodPost, strings.TrimSuffix(peer, "/")+path, bytes.NewReader(b))
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, strings.TrimSuffix(peer, "/")+path, bytes.NewReader(b))
 	if err != nil {
 		s.noteForwardError(peer)
 		return false
@@ -155,20 +162,43 @@ func (s *Service) forwardJSON(w http.ResponseWriter, r *http.Request, peer, path
 	// The correlation ID crosses the hop, so the owner's access log
 	// carries the same ID the edge minted.
 	req.Header.Set(RequestIDHeader, requestID(r))
+	var fsp *obs.Span
+	if rt != nil {
+		fsp = rt.track.Begin("forward", map[string]any{"peer": peer})
+		fsp.SetParent(rt.root.ID())
+		req.Header.Set(TraceIDHeader, rt.tracer.TraceID())
+		req.Header.Set(ParentSpanHeader, strconv.FormatUint(fsp.ID(), 10))
+	}
 	resp, err := s.peerClient.Do(req)
+	var buf []byte
+	if err == nil {
+		defer resp.Body.Close()
+		if rt != nil {
+			if buf, err = io.ReadAll(resp.Body); err == nil {
+				fsp.Set("status", resp.StatusCode)
+			}
+		}
+	}
+	fsp.End()
 	if err != nil {
 		s.noteForwardError(peer)
 		return false
 	}
-	defer resp.Body.Close()
-
 	s.metrics.addPeer(s.metrics.c.Peers.Forwarded, peer)
 	reqInfoFrom(r.Context()).set(func(ri *reqInfo) { ri.peer = peer })
+
+	if rt != nil && resp.StatusCode == http.StatusOK && writeStitched(w, rt, buf) {
+		return true
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
 	w.WriteHeader(resp.StatusCode)
-	copyFlush(w, resp.Body)
+	if rt != nil {
+		w.Write(buf)
+	} else {
+		copyFlush(w, resp.Body)
+	}
 	return true
 }
 

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"introspect/internal/analysis"
 	"introspect/internal/obs"
@@ -88,61 +85,15 @@ func requestID(r *http.Request) string {
 	return newRequestID()
 }
 
-// forwardAnalyzeTraced is forwardJSON's traced sibling for non-stream
-// /v1/analyze forwards: it sends the trace context with the request,
-// buffers the peer's response instead of streaming it through, and —
-// when the peer returned a run document carrying its own trace —
-// replaces that trace with the stitched two-node document (origin
-// events as process 1, the owner's as process 2). Like forwardJSON it
-// returns false when the peer is unreachable so the caller solves
-// locally.
-func (s *Service) forwardAnalyzeTraced(w http.ResponseWriter, r *http.Request, peer string, req Request, rt *reqTrace) bool {
-	b, err := json.Marshal(req)
-	if err != nil {
-		s.noteForwardError(peer)
-		return false
-	}
-	fsp := rt.track.Begin("forward", map[string]any{"peer": peer})
-	fsp.SetParent(rt.root.ID())
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, strings.TrimSuffix(peer, "/")+"/v1/analyze", bytes.NewReader(b))
-	if err != nil {
-		fsp.End()
-		s.noteForwardError(peer)
-		return false
-	}
-	preq.Header.Set("Content-Type", "application/json")
-	preq.Header.Set(ForwardHeader, s.ring.self)
-	preq.Header.Set(RequestIDHeader, rt.id)
-	preq.Header.Set(TraceIDHeader, rt.tracer.TraceID())
-	preq.Header.Set(ParentSpanHeader, strconv.FormatUint(fsp.ID(), 10))
-	resp, err := s.peerClient.Do(preq)
-	if err != nil {
-		fsp.End()
-		s.noteForwardError(peer)
-		return false
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fsp.End()
-		s.noteForwardError(peer)
-		return false
-	}
-	fsp.Set("status", resp.StatusCode)
-	fsp.End()
-	s.metrics.addPeer(s.metrics.c.Peers.Forwarded, peer)
-	reqInfoFrom(r.Context()).set(func(ri *reqInfo) { ri.peer = peer })
-
+// writeStitched answers a traced forward from the owner's buffered 200
+// response: when it is a run document, its trace (the owner's events)
+// is replaced with the stitched two-node document — origin events as
+// process 1, the owner's as process 2. It returns false, writing
+// nothing, when the body is not a run document.
+func writeStitched(w http.ResponseWriter, rt *reqTrace, body []byte) bool {
 	var doc analysis.RunJSON
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &doc) != nil {
-		// Errors (and anything that is not a run document) pass through
-		// verbatim, as forwardJSON would.
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(body)
-		return true
+	if json.Unmarshal(body, &doc) != nil {
+		return false
 	}
 	var remote []obs.ChromeEvent
 	if doc.Trace != nil {
