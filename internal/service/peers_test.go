@@ -128,6 +128,33 @@ func TestPeerForwarding(t *testing.T) {
 	}
 }
 
+// TestPeerForwardRejectsInvalidUTF8: a source that is not valid UTF-8
+// would change in the forward's JSON re-encoding (0xE9 becomes
+// U+FFFD), so the owner would solve and cache a different program
+// than the bytes the edge routed by. The edge rejects it before
+// routing: 400, nothing forwarded, no solve on the owner.
+func TestPeerForwardRejectsInvalidUTF8(t *testing.T) {
+	srvA, srvB, svcA, svcB := twoNodeFleet(t, service.Config{Workers: 1})
+	src := "// caf\xe9\nclass A { static void main() { Object o = new A(); } }"
+	name := nameOwnedBy(t, svcA, svcB, src, srvB.URL)
+
+	resp, err := http.Post(srvA.URL+"/v1/analyze?spec=insens&name="+name, "text/plain", strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", resp.StatusCode, b)
+	}
+	if m := svcA.Metrics(); len(m.Peers.Forwarded) != 0 || m.Rejected.Invalid != 1 {
+		t.Errorf("entry node: forwarded=%v rejected=%d, want no forward and 1 rejection", m.Peers.Forwarded, m.Rejected.Invalid)
+	}
+	if m := svcB.Metrics(); m.Requests != 0 || m.Solves != 0 {
+		t.Errorf("owner node: requests=%d solves=%d, want 0/0", m.Requests, m.Solves)
+	}
+}
+
 // TestPeerForwardLoopPrevention: a request already wearing the forward
 // header is served locally even by a non-owner — one hop, never two.
 func TestPeerForwardLoopPrevention(t *testing.T) {

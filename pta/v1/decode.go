@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"introspect/internal/taint"
 )
@@ -34,9 +35,14 @@ const DefaultSpec = "2objH"
 //     streams by default (stream=false opts out): it is the
 //     curl-friendly way to watch a long solve.
 //
-// After decoding, an empty Job.Spec defaults to DefaultSpec. Body
-// reads are capped at maxBody bytes; size-limit errors surface from
-// the service's own source-size validation, which names the limit.
+// After decoding, an empty Job.Spec defaults to DefaultSpec, and every
+// string must be valid UTF-8: a peer forward re-encodes the request as
+// JSON, which would replace invalid bytes with U+FFFD, so the owner
+// would solve and cache a different program than the one the edge
+// routed by. (JSON bodies always pass; encoding/json already made that
+// replacement.) Body reads are capped at maxBody bytes; size-limit
+// errors surface from the service's own source-size validation, which
+// names the limit.
 //
 // The returned error, when non-nil, is always CodeBadRequest.
 func DecodeAnalyze(r *http.Request, maxBody int64) (AnalyzeRequest, *Error) {
@@ -55,6 +61,11 @@ func DecodeAnalyze(r *http.Request, maxBody int64) (AnalyzeRequest, *Error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			return req, Errorf(CodeBadRequest, "decoding request: %v", err)
+		}
+		// An empty sanitizer list means none; normalize it to what its
+		// omitempty re-encoding in a peer forward decodes to.
+		if t := req.Job.Taint; t != nil && len(t.Sanitizers) == 0 {
+			t.Sanitizers = nil
 		}
 		// stream/decisions/trace are the query parameters honored
 		// alongside a JSON body: they select response representations,
@@ -76,7 +87,32 @@ func DecodeAnalyze(r *http.Request, maxBody int64) (AnalyzeRequest, *Error) {
 	if req.Job.Spec == "" {
 		req.Job.Spec = DefaultSpec
 	}
+	if field := invalidUTF8(&req); field != "" {
+		return req, Errorf(CodeBadRequest, "%s is not valid UTF-8", field)
+	}
 	return req, nil
+}
+
+// invalidUTF8 names the first string field of req that is not valid
+// UTF-8, or returns "".
+func invalidUTF8(req *AnalyzeRequest) string {
+	for _, f := range []struct{ name, v string }{
+		{"source", req.Source}, {"lang", req.Lang}, {"name", req.Name}, {"spec", req.Job.Spec},
+	} {
+		if !utf8.ValidString(f.v) {
+			return f.name
+		}
+	}
+	if t := req.Job.Taint; t != nil {
+		for _, list := range [][]string{t.Sources, t.Sinks, t.Sanitizers} {
+			for _, p := range list {
+				if !utf8.ValidString(p) {
+					return "taint pattern"
+				}
+			}
+		}
+	}
+	return ""
 }
 
 // decodeQuery fills req's job fields from query parameters — the
