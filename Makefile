@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race bench figures serve trace-smoke
+.PHONY: check vet build test perfbench race bench figures serve trace-smoke
 
-# check is what CI runs: vet, build, full tests, race-enabled
-# solver/pipeline tests, and the trace-export smoke test.
-check: vet build test race trace-smoke
+# check is what CI runs: vet, build, full tests, the benchmark
+# harness's own vet and tests, race-enabled solver/pipeline tests, and
+# the trace-export smoke test.
+check: vet build test perfbench race trace-smoke
 
 # introvet is the repo's own determinism linter (see cmd/introvet):
 # mandatory, stdlib-only, so it runs everywhere go does. staticcheck,
@@ -26,6 +27,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# perfbench/ is a module of its own, so ./... never reaches it: vet
+# and test the benchmark harness separately.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The solver, the pipeline, the cut-shortcut strategy it loads, the
 # checkers that consume their results, the analysis service, and the

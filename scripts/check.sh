@@ -22,6 +22,11 @@ if command -v govulncheck >/dev/null 2>&1; then
 fi
 go build ./...
 go test ./...
+# perfbench/ is a module of its own (it reaches the internal packages
+# through a replace directive), so ./... above never compiles it: vet
+# and test the benchmark harness separately, or a refactor could break
+# `bash perfbench/run.sh` and stay green here.
+(cd perfbench && go vet ./... && go test ./...)
 go test -race ./internal/analysis ./internal/pta ./internal/cutshortcut ./internal/checkers ./internal/service ./internal/obs
 
 # Trace-export smoke test (same commands as `make trace-smoke`): solve
