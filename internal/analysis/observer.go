@@ -7,16 +7,16 @@ import (
 
 // Observer receives pipeline lifecycle callbacks: stage boundaries,
 // sampled solver snapshots, and the selection stage's decision audit.
-// It is the
-// hook point for tracing, live heartbeats, and metrics exporters; the
-// default is the no-op NopObserver.
+// It is the hook point for tracing, live heartbeats, and metrics
+// exporters; the default is the no-op NopObserver. Implementations
+// that need only some callbacks embed NopObserver for the rest.
 //
 // # Concurrency
 //
 // Within one pipeline run, callbacks are invoked synchronously from
 // that run's goroutine (SolveSnapshot from inside the solver's
-// worklist loop), so implementations must be fast and must
-// not block — a slow Observer slows the solve it is observing.
+// worklist loop), so implementations must be fast and must not block
+// — a slow Observer slows the solve it is observing.
 //
 // Across runs there is no such serialization: RunAll executes many
 // pipelines on a bounded worker pool, and a single Observer instance

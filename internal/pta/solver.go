@@ -27,10 +27,10 @@ type Options struct {
 	// one observation hook, which the analysis layer's Observer uses
 	// for live progress, solver-level tracing and heartbeats. Samples
 	// fall on the deterministic work clock, so identical runs are
-	// observed at identical points. Disabled it costs one nil check per worklist pop
-	// (the same pattern as the provenance recorder); enabled, each
-	// sample scans the per-node length arrays, so the cost is
-	// O(nodes / SnapshotEvery) per work unit and is controlled
+	// observed at identical points. Disabled it costs one nil check
+	// per worklist pop (the same pattern as the provenance recorder);
+	// enabled, each sample scans the per-node length arrays, so the
+	// cost is O(nodes / SnapshotEvery) per work unit and is controlled
 	// entirely by the sampling interval.
 	Snapshot func(Snapshot)
 	// SnapshotEvery is the minimum number of work units between

@@ -102,10 +102,12 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if req.Trace && !req.Stream {
 		rt = s.startReqTrace(r, requestID(r))
 	}
-	// A false return (the owner is unreachable) falls back to a local
-	// solve.
-	if peer, ok := s.routePeer(r, req.Lang, req.Name, req.Source); ok && s.forward(w, r, peer, "/v1/analyze", req, rt) {
-		return
+	if peer, ok := s.routePeer(r, req.Lang, req.Name, req.Source); ok {
+		// A false return (the owner is unreachable) falls back to a
+		// local solve.
+		if s.forward(w, r, peer, "/v1/analyze", req, rt) {
+			return
+		}
 	}
 	if req.Stream {
 		s.streamAnalyze(w, r, req)
