@@ -77,12 +77,12 @@ type Request struct {
 	First *pta.Result
 
 	// Audit enables the introspection decision audit: the selection
-	// stage records every refine/demote verdict the heuristic reached
-	// (site, metric, observed value, threshold) into
-	// Result.Selection.Decisions and fires Observer.Decisions once with
-	// the log. Selection itself is unchanged — the audited and silent
-	// paths compute the same Refinement by construction — so Audit
-	// never affects analysis results, only what is reported.
+	// stage hands the heuristic a recorder, which logs every
+	// refine/demote verdict (site, metric, observed value, threshold)
+	// into Result.Selection.Decisions, and Observer.Decisions fires
+	// once with the log. Selection runs the same clause loop either
+	// way — the recorder only watches it — so Audit never affects
+	// analysis results, only what is reported.
 	Audit bool
 
 	Limits Limits
@@ -287,22 +287,12 @@ func metricsStage() stage {
 
 func selectionStage(sel Selector) stage {
 	return stage{name: StageSelection, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
-		var s *introspect.Selection
-		var err error
-		if as, ok := sel.(AuditingSelector); ok && p.req.Audit {
-			s, err = as.SelectAudit(res.Prog, res.First, res.Metrics)
-		} else {
-			s, err = sel.Select(res.Prog, res.First, res.Metrics)
-		}
+		s, err := sel.Select(res.Prog, res.First, res.Metrics, p.req.Audit)
 		if err != nil {
 			return Stats{}, fmt.Errorf("analysis: stage %s: %w", StageSelection, err)
 		}
 		res.Selection = s
-		if len(s.Decisions) > 0 {
-			obs := p.req.Observer
-			if obs == nil {
-				obs = NopObserver{}
-			}
+		if obs := p.req.Observer; obs != nil && len(s.Decisions) > 0 {
 			obs.Decisions(StageSelection, s.Decisions)
 		}
 		return Stats{}, nil

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"introspect/internal/analysis"
-	"introspect/internal/introspect"
 	"introspect/internal/pta"
 	"introspect/internal/randprog"
 )
@@ -61,36 +60,6 @@ func TestUnknownVariant(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q should mention %q", err, want)
 		}
-	}
-}
-
-// TestRegisterVariant exercises the extension point: a custom variant
-// registered under a new name resolves through spec strings like the
-// built-ins.
-func TestRegisterVariant(t *testing.T) {
-	analysis.RegisterVariant("TestOnlyA", func(*analysis.Thresholds) analysis.Selector {
-		return analysis.HeuristicSelector(introspect.HeuristicA{K: 2, L: 2, M: 2})
-	})
-	prog := randprog.Generate(2, randprog.Default())
-	res, err := analysis.Run(context.Background(), analysis.Request{
-		Prog: prog, Job: analysis.Job{Spec: "2objH-TestOnlyA"}, Limits: analysis.Limits{Budget: -1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Main.Analysis != "2objH-IntroA" {
-		// HeuristicA's Name() is IntroA regardless of registry key; the
-		// registry key only selects the factory.
-		t.Errorf("main analysis %q", res.Main.Analysis)
-	}
-	found := false
-	for _, v := range analysis.Variants() {
-		if v == "TestOnlyA" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("Variants() does not list the registered variant")
 	}
 }
 

@@ -26,8 +26,8 @@
 // ("2objH-IntroA") runs all stages; the syntactic baseline
 // ("2objH-syntactic") skips pre-pass and metrics, which is exactly the
 // paper's point about syntactic heuristics. Spec strings resolve
-// through a registry (RegisterVariant / Variants), so CLIs do not
-// switch on analysis names.
+// through one table of variants (Variants), so CLIs do not switch on
+// analysis names.
 //
 // # Jobs
 //

@@ -18,14 +18,14 @@ import (
 // Job replaces the old Request.Spec / Request.Heuristic /
 // Request.Syntactic triple, whose interface-valued fields could not
 // cross a process boundary. Custom in-process heuristics (arbitrary
-// introspect.Heuristic implementations) go through Request.Selector or
-// RegisterVariant instead.
+// introspect.Heuristic implementations) go through Request.Selector
+// instead.
 type Job struct {
 	// Spec names the analysis: "insens", "2objH", "1call", ... for a
 	// single pass, or "<deep>-<variant>" ("2objH-IntroA",
 	// "2callH-IntroB", "2objH-syntactic") for an introspective
-	// pipeline. Variants resolve through the registry (see
-	// RegisterVariant).
+	// pipeline. Variants resolve through a fixed table (see
+	// Variants).
 	Spec string `json:"spec"`
 
 	// Thresholds, if non-nil, overrides the heuristic constants of the

@@ -22,48 +22,35 @@ type Selector interface {
 	// that is exactly the paper's point about them.
 	NeedsPrePass() bool
 	// Select computes the selection. first and m are nil when
-	// NeedsPrePass is false.
-	Select(prog *ir.Program, first *pta.Result, m *introspect.Metrics) (*introspect.Selection, error)
-}
-
-// AuditingSelector is implemented by selectors that can narrate their
-// selection: SelectAudit computes the same Selection as Select,
-// additionally populating Selection.Decisions with the per-element
-// refine/demote log. The selection stage uses it when Request.Audit is
-// set; selectors without it simply produce no log.
-type AuditingSelector interface {
-	Selector
-	SelectAudit(prog *ir.Program, first *pta.Result, m *introspect.Metrics) (*introspect.Selection, error)
+	// NeedsPrePass is false. With audit set, selectors that decide per
+	// element from metrics fill in Selection.Decisions; the refinement
+	// is the same either way.
+	Select(prog *ir.Program, first *pta.Result, m *introspect.Metrics, audit bool) (*introspect.Selection, error)
 }
 
 // HeuristicSelector adapts an introspective heuristic (the paper's
-// Heuristic A/B, or any Combo) to the Selector interface. Heuristics
-// that implement introspect.AuditingHeuristic — A, B, and every Combo
-// do — yield an AuditingSelector.
+// Heuristic A/B, or any Combo) to the Selector interface.
 func HeuristicSelector(h introspect.Heuristic) Selector { return heuristicSelector{h} }
 
 type heuristicSelector struct{ h introspect.Heuristic }
 
 func (s heuristicSelector) Name() string       { return s.h.Name() }
 func (s heuristicSelector) NeedsPrePass() bool { return true }
-func (s heuristicSelector) Select(prog *ir.Program, first *pta.Result, m *introspect.Metrics) (*introspect.Selection, error) {
-	return introspect.SelectWith(first, m, s.h), nil
-}
-
-func (s heuristicSelector) SelectAudit(prog *ir.Program, first *pta.Result, m *introspect.Metrics) (*introspect.Selection, error) {
-	return introspect.SelectWithAudit(first, m, s.h, true), nil
+func (s heuristicSelector) Select(prog *ir.Program, first *pta.Result, m *introspect.Metrics, audit bool) (*introspect.Selection, error) {
+	return introspect.SelectWith(first, m, s.h, audit), nil
 }
 
 // SyntacticSelector adapts the traditional hard-coded exclusions
 // (strings/exceptions context-insensitive) to the Selector interface.
-// It needs no pre-pass; its Selection carries no Figure-4 statistics.
+// It needs no pre-pass; its Selection carries no Figure-4 statistics
+// and no decision log.
 func SyntacticSelector(opts introspect.SyntacticOptions) Selector { return syntacticSelector{opts} }
 
 type syntacticSelector struct{ opts introspect.SyntacticOptions }
 
 func (s syntacticSelector) Name() string       { return "syntactic" }
 func (s syntacticSelector) NeedsPrePass() bool { return false }
-func (s syntacticSelector) Select(prog *ir.Program, _ *pta.Result, _ *introspect.Metrics) (*introspect.Selection, error) {
+func (s syntacticSelector) Select(prog *ir.Program, _ *pta.Result, _ *introspect.Metrics, _ bool) (*introspect.Selection, error) {
 	return &introspect.Selection{
 		Refinement: introspect.SyntacticExclusions(prog, s.opts),
 		Heuristic:  "syntactic",
@@ -73,26 +60,15 @@ func (s syntacticSelector) Select(prog *ir.Program, _ *pta.Result, _ *introspect
 // variants maps the introspective-variant suffix of a spec string
 // ("IntroA" in "2objH-IntroA") to a Selector factory. The factory
 // receives the Job's Thresholds (possibly nil); factories for variants
-// without tunable constants ignore it.
+// without tunable constants ignore it. The table is fixed: a custom
+// in-process heuristic goes through Request.Selector instead.
 var variants = map[string]func(*Thresholds) Selector{
 	"IntroA":    func(t *Thresholds) Selector { return HeuristicSelector(t.heuristicA()) },
 	"IntroB":    func(t *Thresholds) Selector { return HeuristicSelector(t.heuristicB()) },
 	"syntactic": func(*Thresholds) Selector { return SyntacticSelector(introspect.DefaultSyntactic()) },
 }
 
-// RegisterVariant adds a named introspective variant to the spec
-// registry, making "<deep>-<name>" resolvable by NewPipeline. The
-// factory receives the requesting Job's Thresholds (nil when unset)
-// and may ignore it. It panics on a duplicate name, like
-// image.RegisterFormat.
-func RegisterVariant(name string, f func(*Thresholds) Selector) {
-	if _, dup := variants[name]; dup {
-		panic("analysis: duplicate variant " + name)
-	}
-	variants[name] = f
-}
-
-// Variants returns the registered introspective-variant names, sorted.
+// Variants returns the introspective-variant names, sorted.
 func Variants() []string {
 	out := make([]string, 0, len(variants))
 	for n := range variants {

@@ -42,7 +42,7 @@ func TestHybridAtLeastAsExplosive(t *testing.T) {
 		}
 	}
 	// Introspection rescues hybrid where it rescues object-sensitivity.
-	row, _, err := runIntro("hsqldb", "2hybH", introspect.DefaultB(), cfg.Limits())
+	row, err := runIntro("hsqldb", "2hybH", introspect.DefaultB(), cfg.Limits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestDeeperContextExtension(t *testing.T) {
 		if objTimeouts[b] && !full.TimedOut {
 			t.Errorf("%s: 3objH terminated but 2objH does not; deeper context should not be cheaper here", b)
 		}
-		row, _, err := runIntro(b, "3objH", introspect.DefaultA(), cfg.Limits())
+		row, err := runIntro(b, "3objH", introspect.DefaultA(), cfg.Limits())
 		if err != nil {
 			t.Fatal(err)
 		}

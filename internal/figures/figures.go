@@ -64,24 +64,9 @@ func (c Config) Limits() analysis.Limits {
 	return analysis.Limits{Budget: b}
 }
 
-// run executes one analysis pipeline on a benchmark and renders its
-// outcome as a table row. A budget-exhausted main pass is a reportable
-// outcome (the figures' TIMEOUT rows), so only a budget error without
-// a measured result — or any other error — propagates.
-func run(req analysis.Request) (report.Row, *analysis.Result, error) {
-	res, err := analysis.Run(context.Background(), req)
-	if err != nil {
-		var be *analysis.BudgetExceededError
-		if !errors.As(err, &be) || res == nil || res.Precision == nil {
-			return report.Row{}, nil, err
-		}
-	}
-	return report.Row{Benchmark: req.Source.Bench, Precision: *res.Precision}, res, nil
-}
-
-// rowOf applies run's error policy to one fleet outcome: a
-// budget-exhausted main pass with a measured result is a TIMEOUT row,
-// anything else is an error.
+// rowOf renders one analysis outcome as a table row. A
+// budget-exhausted main pass with a measured result is a reportable
+// outcome (the figures' TIMEOUT rows); any other error propagates.
 func rowOf(req analysis.Request, rr analysis.RunResult) (report.Row, error) {
 	if rr.Err != nil {
 		var be *analysis.BudgetExceededError
@@ -159,26 +144,28 @@ func introReq(name, deep, variant string, th *analysis.Thresholds, lim analysis.
 	}
 }
 
+// runOne runs one analysis pipeline outside a fleet and renders its
+// outcome as a table row.
+func runOne(req analysis.Request) (report.Row, error) {
+	res, err := analysis.Run(context.Background(), req)
+	return rowOf(req, analysis.RunResult{Result: res, Err: err})
+}
+
 // runFull runs a plain analysis on a benchmark.
 func runFull(name, spec string, lim analysis.Limits) (report.Row, error) {
-	row, _, err := run(fullReq(name, spec, lim))
-	return row, err
+	return runOne(fullReq(name, spec, lim))
 }
 
 // runIntro runs the introspective pipeline on a benchmark with a
 // custom in-process heuristic (the extension experiments' scaled and
 // hybrid variants go through here).
-func runIntro(name, spec string, h introspect.Heuristic, lim analysis.Limits) (report.Row, *introspect.Selection, error) {
-	row, res, err := run(analysis.Request{
+func runIntro(name, spec string, h introspect.Heuristic, lim analysis.Limits) (report.Row, error) {
+	return runOne(analysis.Request{
 		Source:   &analysis.Source{Bench: name},
 		Job:      analysis.Job{Spec: spec},
 		Selector: analysis.HeuristicSelector(h),
 		Limits:   lim,
 	})
-	if err != nil {
-		return report.Row{}, nil, err
-	}
-	return row, res.Selection, nil
 }
 
 // Fig1 reproduces Figure 1: context-insensitive vs 2objH running cost
@@ -218,8 +205,10 @@ func Fig4(cfg Config) ([]Fig4Row, error) {
 				return nil, rr.Err
 			}
 		}
-		selA := introspect.Select(rr.Result.Main, introspect.DefaultA())
-		selB := introspect.Select(rr.Result.Main, introspect.DefaultB())
+		ins := rr.Result.Main
+		m := introspect.Compute(ins)
+		selA := introspect.SelectWith(ins, m, introspect.DefaultA(), false)
+		selB := introspect.SelectWith(ins, m, introspect.DefaultB(), false)
 		rows = append(rows, Fig4Row{
 			Benchmark:  subjects[i],
 			CallSitesA: selA.PctCallSites(), CallSitesB: selB.PctCallSites(),

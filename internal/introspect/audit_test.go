@@ -7,34 +7,34 @@ import (
 	"introspect/internal/introspect"
 )
 
-// TestSelectAuditMatchesSelect pins that the audited path computes the
-// exact refinement of the silent path, for both paper heuristics at
-// paper and tightened thresholds.
-func TestSelectAuditMatchesSelect(t *testing.T) {
+// TestRecorderKeepsRefinement pins that recording the decision log
+// leaves the refinement unchanged, for both paper heuristics at paper
+// and tightened thresholds.
+func TestRecorderKeepsRefinement(t *testing.T) {
 	prog, _, _, _ := buildMetricsProgram(t)
 	res := analyze(t, prog, "insens")
 	m := introspect.Compute(res)
 
-	heuristics := []introspect.AuditingHeuristic{
+	heuristics := []introspect.Heuristic{
 		introspect.DefaultA(),
 		introspect.DefaultB(),
 		introspect.HeuristicA{K: 1, L: 1, M: 1},
 		introspect.HeuristicB{P: 1, Q: 1},
 	}
 	for _, h := range heuristics {
-		want := h.Select(prog, m)
-		got := h.SelectAudit(prog, m, func(introspect.Decision) {})
+		want := h.Select(prog, m, nil)
+		got := h.Select(prog, m, func(introspect.Decision) {})
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: SelectAudit refinement differs from Select", h.Name())
+			t.Errorf("%s: refinement with a recorder differs from without", h.Name())
 		}
 	}
 }
 
-// TestSelectWithAuditDecisions checks the decision log: observed
-// elements get records with the right metric names, thresholds and
-// verdicts; every demote in the refinement has a matching record; and
-// the silent path carries no log.
-func TestSelectWithAuditDecisions(t *testing.T) {
+// TestSelectWithDecisions checks the decision log: observed elements
+// get records with the right metric names, thresholds and verdicts;
+// every demote in the refinement has a matching record; and an
+// unaudited selection carries no log.
+func TestSelectWithDecisions(t *testing.T) {
 	prog, heaps, _, _ := buildMetricsProgram(t)
 	res := analyze(t, prog, "insens")
 	m := introspect.Compute(res)
@@ -42,7 +42,7 @@ func TestSelectWithAuditDecisions(t *testing.T) {
 	// K=1 demotes heaps with pointed-by-vars > 1; h1 is pointed to by
 	// o1, b, and util's formals, so it must be demoted.
 	h := introspect.HeuristicA{K: 1, L: 100, M: 200}
-	sel := introspect.SelectWithAudit(res, m, h, true)
+	sel := introspect.SelectWith(res, m, h, true)
 	if len(sel.Decisions) == 0 {
 		t.Fatal("audited selection has no decisions")
 	}
@@ -89,23 +89,17 @@ func TestSelectWithAuditDecisions(t *testing.T) {
 	}
 
 	// The audit must not change the Figure-4 statistics.
-	silent := introspect.SelectWith(res, m, h)
+	silent := introspect.SelectWith(res, m, h, false)
 	if silent.Decisions != nil {
-		t.Error("SelectWith populated Decisions")
+		t.Error("SelectWith(audit=false) populated Decisions")
 	}
 	if silent.TotalHeaps != sel.TotalHeaps || silent.ExcludedHeaps != sel.ExcludedHeaps ||
 		silent.TotalInvos != sel.TotalInvos || silent.ExcludedInvos != sel.ExcludedInvos {
 		t.Errorf("audited stats %+v differ from silent %+v", sel, silent)
 	}
 
-	// audit=false goes through the silent path even for an auditing
-	// heuristic.
-	if off := introspect.SelectWithAudit(res, m, h, false); off.Decisions != nil {
-		t.Error("SelectWithAudit(audit=false) populated Decisions")
-	}
-
 	// Product clauses label the metric pair.
-	selB := introspect.SelectWithAudit(res, m, introspect.HeuristicB{P: 10000, Q: 1}, true)
+	selB := introspect.SelectWith(res, m, introspect.HeuristicB{P: 10000, Q: 1}, true)
 	foundProduct := false
 	for _, d := range selB.Decisions {
 		if d.Metric == "total-field-points-to*pointed-by-vars" {

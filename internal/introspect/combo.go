@@ -97,11 +97,6 @@ type Clause struct {
 	Threshold int
 }
 
-// Exceeds evaluates the clause on element id.
-func (c Clause) Exceeds(ms *Metrics, id int) bool {
-	return c.score(ms, id) > c.Threshold
-}
-
 func (c Clause) String() string {
 	if c.HasSecond {
 		return fmt.Sprintf("%s × %s > %d", c.Metric, c.Metric2, c.Threshold)
@@ -131,15 +126,63 @@ func (c Combo) Name() string {
 	return "Combo(" + strings.Join(parts, "; ") + ")"
 }
 
-// Select implements Heuristic. It is SelectAudit with no recorder:
-// the audit path and the silent path cannot disagree on the
-// refinement by construction.
-func (c Combo) Select(prog *ir.Program, m *Metrics) *pta.Refinement {
-	return c.SelectAudit(prog, m, nil)
+// Select implements Heuristic; it is the one loop that turns metrics
+// into a refinement. Every clause scans its whole domain in element-ID
+// order and demotes the elements whose score exceeds its threshold.
+// A non-nil rec additionally receives one Decision per scored element
+// whose metric value was observed (non-zero) or whose verdict is
+// demote — zero-valued refines are vacuous (the first pass never saw
+// the element) and would bloat the log without informing anyone. The
+// log is therefore deterministic for a given first pass, and recording
+// it cannot change the refinement.
+func (c Combo) Select(prog *ir.Program, m *Metrics, rec func(Decision)) *pta.Refinement {
+	ref := &pta.Refinement{}
+	for _, cl := range c.Clauses {
+		dom := cl.Metric.domain()
+		var n int
+		switch dom {
+		case invoDomain:
+			n = prog.NumInvos()
+		case methodDomain:
+			n = prog.NumMethods()
+		default:
+			n = prog.NumHeaps()
+		}
+		for i := 0; i < n; i++ {
+			v := cl.score(m, i)
+			demote := v > cl.Threshold
+			if demote {
+				switch dom {
+				case invoDomain:
+					ref.Invos.Add(int32(i))
+				case methodDomain:
+					ref.Methods.Add(int32(i))
+				default:
+					ref.Heaps.Add(int32(i))
+				}
+			}
+			if rec == nil || (v == 0 && !demote) {
+				continue
+			}
+			verdict := VerdictRefine
+			if demote {
+				verdict = VerdictDemote
+			}
+			rec(Decision{
+				Kind:      kindName(dom),
+				Site:      siteName(prog, dom, i),
+				Metric:    cl.label(),
+				Value:     v,
+				Threshold: cl.Threshold,
+				Verdict:   verdict,
+			})
+		}
+	}
+	return ref
 }
 
-// AsComboA expresses Heuristic A as a Combo (used in tests to pin the
-// equivalence).
+// AsComboA expresses Heuristic A as a Combo: the form HeuristicA.Select
+// runs.
 func AsComboA(h HeuristicA) Combo {
 	return Combo{Label: "IntroA", Clauses: []Clause{
 		{Metric: PointedByVarsMetric, Threshold: h.K},
@@ -148,7 +191,8 @@ func AsComboA(h HeuristicA) Combo {
 	}}
 }
 
-// AsComboB expresses Heuristic B as a Combo.
+// AsComboB expresses Heuristic B as a Combo: the form HeuristicB.Select
+// runs.
 func AsComboB(h HeuristicB) Combo {
 	return Combo{Label: "IntroB", Clauses: []Clause{
 		{Metric: TotalVolumeMetric, Threshold: h.P},

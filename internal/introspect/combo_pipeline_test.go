@@ -6,12 +6,53 @@ import (
 
 	"introspect/internal/analysis"
 	"introspect/internal/introspect"
+	"introspect/internal/pta"
 	"introspect/internal/randprog"
 )
 
-// TestComboEquivalentToNamedHeuristics pins that the Combo encoding of
-// Heuristics A and B selects exactly the same refinement sets as the
-// hand-written implementations, over random programs.
+// referenceA is Heuristic A written out directly from the paper's
+// definition — the reference the Combo clause loop is held to.
+func referenceA(h introspect.HeuristicA, m *introspect.Metrics) *pta.Refinement {
+	ref := &pta.Refinement{}
+	for hp := range m.PointedByVars {
+		if m.PointedByVars[hp] > h.K {
+			ref.Heaps.Add(int32(hp))
+		}
+	}
+	for i := range m.InFlow {
+		if m.InFlow[i] > h.L {
+			ref.Invos.Add(int32(i))
+		}
+	}
+	for mi := range m.MaxVarFieldPointsTo {
+		if m.MaxVarFieldPointsTo[mi] > h.M {
+			ref.Methods.Add(int32(mi))
+		}
+	}
+	return ref
+}
+
+// referenceB is Heuristic B written out directly from the paper's
+// definition.
+func referenceB(h introspect.HeuristicB, m *introspect.Metrics) *pta.Refinement {
+	ref := &pta.Refinement{}
+	for mi := range m.TotalVolume {
+		if m.TotalVolume[mi] > h.P {
+			ref.Methods.Add(int32(mi))
+		}
+	}
+	for hp := range m.TotalFieldPointsTo {
+		if m.TotalFieldPointsTo[hp]*m.PointedByVars[hp] > h.Q {
+			ref.Heaps.Add(int32(hp))
+		}
+	}
+	return ref
+}
+
+// TestComboEquivalentToNamedHeuristics pins that Heuristics A and B,
+// which select through their Combo encodings, choose exactly the
+// refinement sets of the paper's definitions written out directly,
+// over random programs, with and without a decision recorder.
 func TestComboEquivalentToNamedHeuristics(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		prog := randprog.Generate(seed, randprog.Default())
@@ -22,19 +63,21 @@ func TestComboEquivalentToNamedHeuristics(t *testing.T) {
 		ha := introspect.HeuristicA{K: 2, L: 2, M: 2}
 		hb := introspect.HeuristicB{P: 4, Q: 3}
 		pairs := []struct {
-			name   string
-			direct introspect.Heuristic
-			combo  introspect.Heuristic
+			name string
+			h    introspect.Heuristic
+			want *pta.Refinement
 		}{
-			{"A", ha, introspect.AsComboA(ha)},
-			{"B", hb, introspect.AsComboB(hb)},
+			{"A", ha, referenceA(ha, m)},
+			{"B", hb, referenceB(hb, m)},
 		}
 		for _, p := range pairs {
-			want := p.direct.Select(prog, m)
-			got := p.combo.Select(prog, m)
-			if !want.Heaps.Equal(&got.Heaps) || !want.Invos.Equal(&got.Invos) ||
-				!want.Methods.Equal(&got.Methods) {
-				t.Errorf("seed %d heuristic %s: combo selects different sets", seed, p.name)
+			for _, rec := range []func(introspect.Decision){nil, func(introspect.Decision) {}} {
+				got := p.h.Select(prog, m, rec)
+				if !p.want.Heaps.Equal(&got.Heaps) || !p.want.Invos.Equal(&got.Invos) ||
+					!p.want.Methods.Equal(&got.Methods) {
+					t.Errorf("seed %d heuristic %s (recorder %v): combo selects different sets",
+						seed, p.name, rec != nil)
+				}
 			}
 		}
 	}

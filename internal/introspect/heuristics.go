@@ -11,12 +11,16 @@ import (
 // (i.e. analyze context-insensitively in the second pass), from the
 // metrics of the first pass. Implementations are the paper's Heuristic
 // A and Heuristic B; both are threshold-tunable, providing the paper's
-// scalability "dial".
+// scalability "dial". Both, like any custom Combo, select through
+// Combo.Select, the one clause loop that turns metrics into a
+// refinement.
 type Heuristic interface {
 	// Name identifies the heuristic for display ("IntroA", "IntroB").
 	Name() string
-	// Select computes the refinement-exclusion sets.
-	Select(prog *ir.Program, m *Metrics) *pta.Refinement
+	// Select computes the refinement-exclusion sets. A non-nil rec
+	// receives the decision log as it is made (see Combo.Select);
+	// recording never changes the refinement.
+	Select(prog *ir.Program, m *Metrics, rec func(Decision)) *pta.Refinement
 }
 
 // HeuristicA is the paper's scalability-first heuristic:
@@ -37,25 +41,9 @@ func DefaultA() HeuristicA { return HeuristicA{K: 100, L: 100, M: 200} }
 // Name implements Heuristic.
 func (h HeuristicA) Name() string { return "IntroA" }
 
-// Select implements Heuristic.
-func (h HeuristicA) Select(prog *ir.Program, m *Metrics) *pta.Refinement {
-	ref := &pta.Refinement{}
-	for hp := range m.PointedByVars {
-		if m.PointedByVars[hp] > h.K {
-			ref.Heaps.Add(int32(hp))
-		}
-	}
-	for i := range m.InFlow {
-		if m.InFlow[i] > h.L {
-			ref.Invos.Add(int32(i))
-		}
-	}
-	for mi := range m.MaxVarFieldPointsTo {
-		if m.MaxVarFieldPointsTo[mi] > h.M {
-			ref.Methods.Add(int32(mi))
-		}
-	}
-	return ref
+// Select implements Heuristic through the Combo form of Heuristic A.
+func (h HeuristicA) Select(prog *ir.Program, m *Metrics, rec func(Decision)) *pta.Refinement {
+	return AsComboA(h).Select(prog, m, rec)
 }
 
 // HeuristicB is the paper's precision-first heuristic:
@@ -76,20 +64,9 @@ func DefaultB() HeuristicB { return HeuristicB{P: 10000, Q: 10000} }
 // Name implements Heuristic.
 func (h HeuristicB) Name() string { return "IntroB" }
 
-// Select implements Heuristic.
-func (h HeuristicB) Select(prog *ir.Program, m *Metrics) *pta.Refinement {
-	ref := &pta.Refinement{}
-	for mi := range m.TotalVolume {
-		if m.TotalVolume[mi] > h.P {
-			ref.Methods.Add(int32(mi))
-		}
-	}
-	for hp := range m.TotalFieldPointsTo {
-		if m.TotalFieldPointsTo[hp]*m.PointedByVars[hp] > h.Q {
-			ref.Heaps.Add(int32(hp))
-		}
-	}
-	return ref
+// Select implements Heuristic through the Combo form of Heuristic B.
+func (h HeuristicB) Select(prog *ir.Program, m *Metrics, rec func(Decision)) *pta.Refinement {
+	return AsComboB(h).Select(prog, m, rec)
 }
 
 // Selection reports what a heuristic chose, including the Figure-4
@@ -108,8 +85,9 @@ type Selection struct {
 	// ExcludedHeaps counts allocation sites excluded from refinement.
 	ExcludedHeaps int
 
-	// Decisions is the per-element refine/demote audit log, populated
-	// only by SelectWithAudit on an AuditingHeuristic; nil otherwise.
+	// Decisions is the per-element refine/demote audit log the
+	// heuristic recorded, in the order it was made; nil unless
+	// SelectWith was asked to audit.
 	Decisions []Decision
 }
 
@@ -137,26 +115,21 @@ func (s *Selection) String() string {
 		s.PctObjects(), s.ExcludedHeaps, s.TotalHeaps)
 }
 
-// Select runs a heuristic over a first-pass result and packages the
-// outcome with its Figure-4 statistics. Only program elements observed
-// by the first pass (reachable call sites with a call-graph edge,
-// allocation sites in reachable methods) enter the denominators.
-func Select(res *pta.Result, h Heuristic) *Selection {
-	return SelectWith(res, Compute(res), h)
-}
-
-// SelectWith is Select with the metrics precomputed — the entry point
-// for pipelines that stage metric computation and heuristic selection
-// separately (internal/analysis).
-func SelectWith(res *pta.Result, m *Metrics, h Heuristic) *Selection {
-	return tally(res, h.Select(res.Prog, m), h.Name())
-}
-
-// tally packages a computed refinement with its Figure-4 statistics —
-// the shared back half of SelectWith and SelectWithAudit.
-func tally(res *pta.Result, ref *pta.Refinement, name string) *Selection {
+// SelectWith runs a heuristic over a first-pass result and its
+// metrics, and packages the outcome with its Figure-4 statistics. With
+// audit set, the Selection also carries the heuristic's decision log.
+// Only program elements observed by the first pass (reachable call
+// sites with a call-graph edge, allocation sites in reachable methods)
+// enter the denominators.
+func SelectWith(res *pta.Result, m *Metrics, h Heuristic, audit bool) *Selection {
+	var decisions []Decision
+	var rec func(Decision)
+	if audit {
+		rec = func(d Decision) { decisions = append(decisions, d) }
+	}
 	prog := res.Prog
-	sel := &Selection{Refinement: ref, Heuristic: name}
+	ref := h.Select(prog, m, rec)
+	sel := &Selection{Refinement: ref, Heuristic: h.Name(), Decisions: decisions}
 
 	for mi := range prog.Methods {
 		mm := &prog.Methods[mi]

@@ -123,7 +123,7 @@ func TestHeuristicASelection(t *testing.T) {
 	m := introspect.Compute(res)
 
 	// K=3: h1 (pointed by 4 vars) is excluded; hA, h2 are not.
-	ref := introspect.HeuristicA{K: 3, L: 1, M: 1}.Select(prog, m)
+	ref := introspect.HeuristicA{K: 3, L: 1, M: 1}.Select(prog, m, nil)
 	if !ref.ExcludesHeap(heaps["h1"]) {
 		t.Error("h1 should be excluded (pointed-by-vars 4 > 3)")
 	}
@@ -143,7 +143,7 @@ func TestHeuristicASelection(t *testing.T) {
 	}
 	// With the paper's constants nothing is excluded in this tiny
 	// program.
-	refDefault := introspect.DefaultA().Select(prog, m)
+	refDefault := introspect.DefaultA().Select(prog, m, nil)
 	if !refDefault.Heaps.Empty() || !refDefault.Invos.Empty() || !refDefault.Methods.Empty() {
 		t.Error("paper-constant Heuristic A should exclude nothing here")
 	}
@@ -155,7 +155,7 @@ func TestHeuristicBSelection(t *testing.T) {
 	m := introspect.Compute(res)
 
 	// P=2: util (volume 3) and main (volume 4) excluded.
-	ref := introspect.HeuristicB{P: 2, Q: 1}.Select(prog, m)
+	ref := introspect.HeuristicB{P: 2, Q: 1}.Select(prog, m, nil)
 	if !ref.Methods.Has(int32(meths["util"])) || !ref.Methods.Has(int32(meths["main"])) {
 		t.Error("both methods should be excluded with P=2")
 	}
@@ -175,7 +175,7 @@ func TestHeuristicBSelection(t *testing.T) {
 func TestSelectionStats(t *testing.T) {
 	prog, _, _, _ := buildMetricsProgram(t)
 	res := analyze(t, prog, "insens")
-	sel := introspect.Select(res, introspect.HeuristicA{K: 3, L: 1, M: 1})
+	sel := introspect.SelectWith(res, introspect.Compute(res), introspect.HeuristicA{K: 3, L: 1, M: 1}, false)
 	// 3 allocation sites, 1 reachable invo.
 	if sel.TotalHeaps != 3 || sel.TotalInvos != 1 {
 		t.Errorf("totals: heaps %d invos %d, want 3 and 1", sel.TotalHeaps, sel.TotalInvos)
@@ -236,7 +236,7 @@ type allCheap struct{}
 
 func (allCheap) Name() string { return "allcheap" }
 
-func (allCheap) Select(prog *ir.Program, m *introspect.Metrics) *pta.Refinement {
+func (allCheap) Select(prog *ir.Program, m *introspect.Metrics, _ func(introspect.Decision)) *pta.Refinement {
 	ref := &pta.Refinement{}
 	for h := 0; h < prog.NumHeaps(); h++ {
 		ref.Heaps.Add(int32(h))
