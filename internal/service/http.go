@@ -152,11 +152,14 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, resp)
 }
 
-// maxBody caps request body reads a little above MaxSourceBytes so an
+// maxBody caps request body reads above MaxSourceBytes so an
 // oversized source gets the limit-naming CodeBadRequest from validate,
-// not a truncated parse.
+// not a truncated parse. A JSON body may carry a source at up to six
+// bytes per source byte (a control byte escapes as \u00XX), so any
+// source within the limit fits — including one re-encoded by a peer
+// forward — with headroom for the envelope.
 func (s *Service) maxBody() int64 {
-	return int64(s.cfg.MaxSourceBytes)*2 + 4096
+	return int64(s.cfg.MaxSourceBytes)*6 + 4096
 }
 
 func writeBody(w http.ResponseWriter, status int, body any) {

@@ -148,10 +148,15 @@ func (s *Service) routePeer(r *http.Request, lang, name, source string) (string,
 // stitched two-node trace (see writeStitched); anything else passes
 // through verbatim.
 func (s *Service) forward(w http.ResponseWriter, r *http.Request, peer, path string, body any, rt *reqTrace) bool {
-	b, err := json.Marshal(body)
+	// No HTML escaping: it would grow each <, > and & in a source to
+	// six bytes on the wire for no reader's benefit.
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(body)
 	var req *http.Request
 	if err == nil {
-		req, err = http.NewRequestWithContext(r.Context(), http.MethodPost, strings.TrimSuffix(peer, "/")+path, bytes.NewReader(b))
+		req, err = http.NewRequestWithContext(r.Context(), http.MethodPost, strings.TrimSuffix(peer, "/")+path, &b)
 	}
 	if err != nil {
 		s.noteForwardError(peer)

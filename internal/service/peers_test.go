@@ -155,6 +155,40 @@ func TestPeerForwardRejectsInvalidUTF8(t *testing.T) {
 	}
 }
 
+// TestPeerForwardEscapedSource: a forward re-encodes the source as
+// JSON, where a control byte grows to six bytes (\u00XX). A source
+// within MaxSourceBytes must still fit the owner's body cap after that
+// growth, and must be served through the edge exactly as directly.
+func TestPeerForwardEscapedSource(t *testing.T) {
+	const body = "\nclass A { static void main() { Object o = new A(); } }"
+	for _, tc := range []struct{ name, fill string }{
+		{"angle brackets", "<"},
+		{"control bytes", "\x01"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srvA, srvB, svcA, svcB := twoNodeFleet(t, service.Config{Workers: 1, MaxSourceBytes: 4096})
+			src := "// " + strings.Repeat(tc.fill, 3000) + body
+			name := nameOwnedBy(t, svcA, svcB, src, srvB.URL)
+
+			resp, err := http.Post(srvA.URL+"/v1/analyze?spec=insens&name="+name, "text/plain", strings.NewReader(src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("through the edge: status %d, want 200: %s", resp.StatusCode, b)
+			}
+			if m := svcA.Metrics(); m.Peers.Forwarded[srvB.URL] != 1 || m.Solves != 0 {
+				t.Errorf("entry node: forwarded=%v solves=%d, want one forward and no local solve", m.Peers.Forwarded, m.Solves)
+			}
+			if m := svcB.Metrics(); m.Solves != 1 {
+				t.Errorf("owner node: solves=%d, want 1", m.Solves)
+			}
+		})
+	}
+}
+
 // TestPeerForwardLoopPrevention: a request already wearing the forward
 // header is served locally even by a non-owner — one hop, never two.
 func TestPeerForwardLoopPrevention(t *testing.T) {

@@ -1,6 +1,7 @@
 package ptav1_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -251,13 +252,15 @@ func FuzzDecodeAnalyze(f *testing.F) {
 			}
 			return
 		}
-		fwd, err := json.Marshal(req)
-		if err != nil {
+		var fwd bytes.Buffer
+		enc := json.NewEncoder(&fwd)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(req); err != nil {
 			t.Fatal(err)
 		}
-		again, serr := ptav1.DecodeAnalyze(jsonReq(t, string(fwd)), 8<<20)
+		again, serr := ptav1.DecodeAnalyze(jsonReq(t, fwd.String()), 8<<20)
 		if serr != nil {
-			t.Fatalf("forwarded body does not decode: %v\n%s", serr, fwd)
+			t.Fatalf("forwarded body does not decode: %v\n%s", serr, fwd.String())
 		}
 		if !reflect.DeepEqual(req, again) {
 			t.Fatalf("forward changed the request:\n before %+v\n after  %+v", req, again)
