@@ -53,12 +53,14 @@ import (
 )
 
 // defaultPackages is the determinism-critical set: the solver, the
-// bitset layer under it, and the cut-shortcut strategy that edits the
-// constraint graph before solving.
+// bitset layer under it, the cut-shortcut strategy that edits the
+// constraint graph before solving, and introspective selection, whose
+// refinement and decision log are cached and served across restarts.
 var defaultPackages = []string{
 	"internal/pta",
 	"internal/bits",
 	"internal/cutshortcut",
+	"internal/introspect",
 }
 
 func main() {
