@@ -71,9 +71,8 @@ type Request struct {
 	// solving one. The pre-pass is a pure function of the program, so
 	// callers running many introspective variants of one benchmark
 	// (the figure fleets) share a single insensitive solve this way
-	// without changing any output. Only valid for pipelines that have
-	// a pre-pass stage; the result must be complete and for the same
-	// program the request resolves to.
+	// without changing any output. The result must pass CheckFirst
+	// and be for the same program the request resolves to.
 	First *pta.Result
 
 	// Audit enables the introspection decision audit: the selection
@@ -253,25 +252,14 @@ func prePassStage() stage {
 }
 
 // injectPrePassStage replaces the pre-pass solve with a result the
-// caller already has. It keeps the stage in the pipeline (observers
-// still see it start and finish) but does no solver work — its Stats
-// carry the injected pass's counters; Wall reflects only the injection
-// itself.
+// caller already has, which NewPipeline has vetted with CheckFirst. It
+// keeps the stage in the pipeline (observers still see it start and
+// finish) but does no solver work — its Stats carry the injected
+// pass's counters; Wall reflects only the injection itself.
 func injectPrePassStage(first *pta.Result) stage {
 	return stage{name: StagePrePass, run: func(ctx context.Context, p *Pipeline, res *Result) (Stats, error) {
-		if !first.Complete {
-			return Stats{}, fmt.Errorf("analysis: stage %s: injected pre-pass result is incomplete", StagePrePass)
-		}
 		if first.Prog != res.Prog {
 			return Stats{}, fmt.Errorf("analysis: stage %s: injected pre-pass result is for a different program", StagePrePass)
-		}
-		// The pre-pass's Work/Workers feed this request's Stats, so an
-		// injected result must come from the same solve mode: a serial
-		// pre-pass spliced into a parallel job (or vice versa) would
-		// report another schedule's operational counters as this run's.
-		if want := effectiveWorkers(p.req.Job.Workers); first.Workers != want {
-			return Stats{}, fmt.Errorf("analysis: stage %s: injected pre-pass result was solved with %d workers, this job uses %d",
-				StagePrePass, first.Workers, want)
 		}
 		res.First = first
 		return collectStats(first), nil

@@ -162,14 +162,10 @@ func NewPipeline(req *Request) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	if req.First != nil && (sel == nil || !sel.NeedsPrePass()) {
-		return nil, fmt.Errorf("analysis: Request.First requires a pipeline with a pre-pass stage, got %q", req.Job.Spec)
-	}
-	if req.First != nil && req.Job.Taint != nil {
-		// An injected pre-pass was solved over the uninstrumented
-		// program; the taint stage swaps the subject, so the pointer
-		// identity check in injectPrePassStage could never pass.
-		return nil, errors.New("analysis: Request.First is incompatible with Job.Taint (the pre-pass must solve the taint-instrumented program)")
+	if req.First != nil {
+		if err := req.CheckFirst(req.First); err != nil {
+			return nil, err
+		}
 	}
 
 	p := &Pipeline{req: req}
@@ -196,4 +192,43 @@ func NewPipeline(req *Request) (*Pipeline, error) {
 	}
 	p.stages = append(p.stages, reportStage())
 	return p, nil
+}
+
+// CheckFirst reports whether first, a stored context-insensitive
+// result, may stand in for the pre-pass of req's pipeline (as
+// Request.First): nil if it may, else an error naming the condition
+// that fails. It is the one rule for pre-pass reuse; NewPipeline
+// enforces it, and a service that shares pre-passes across requests
+// asks it before injecting one. The conditions:
+//
+//   - the pipeline has a pre-pass stage;
+//   - the job carries no taint spec: the taint stage swaps in an
+//     instrumented program, which a stored pre-pass was not solved over;
+//   - first is complete;
+//   - first records provenance if req does, so witnesses stay
+//     reconstructible;
+//   - first was solved in req's solve mode (Job.Workers): its Work and
+//     Workers feed this run's Stats, so a serial pre-pass must not
+//     report for a parallel job, or the reverse.
+//
+// That first was solved over the very program the run resolves to is
+// checked when the pre-pass stage runs, where that program is known.
+func (req *Request) CheckFirst(first *pta.Result) error {
+	_, sel, err := resolveJob(req.Job, req.Selector)
+	switch {
+	case err != nil:
+		return err
+	case sel == nil || !sel.NeedsPrePass():
+		return fmt.Errorf("analysis: Request.First requires a pipeline with a pre-pass stage, got %q", req.Job.Spec)
+	case req.Job.Taint != nil:
+		return errors.New("analysis: Request.First is incompatible with Job.Taint (the pre-pass must solve the taint-instrumented program)")
+	case !first.Complete:
+		return errors.New("analysis: Request.First is an incomplete result")
+	case req.Provenance && !first.ProvenanceEnabled():
+		return errors.New("analysis: Request.First records no provenance, which this request needs")
+	case first.Workers != effectiveWorkers(req.Job.Workers):
+		return fmt.Errorf("analysis: Request.First was solved with %d workers, this job uses %d",
+			first.Workers, effectiveWorkers(req.Job.Workers))
+	}
+	return nil
 }

@@ -73,9 +73,11 @@ func (e *progEntry) sharedFirst() *pta.Result {
 
 // offerFirst records a complete insensitive result for reuse. First
 // writer wins; the pre-pass is a pure function of the program, so any
-// complete candidate is as good as any other.
+// complete candidate is as good as any other. Only results over the
+// entry's own program qualify: a taint job solves an instrumented
+// copy, whose pre-pass no other request could inject.
 func (e *progEntry) offerFirst(r *pta.Result) {
-	if r == nil || !r.Complete {
+	if r == nil || !r.Complete || r.Prog != e.prog {
 		return
 	}
 	e.mu.Lock()

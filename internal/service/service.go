@@ -478,20 +478,9 @@ func (s *Service) solve(ctx context.Context, req Request, pk, key string, extra 
 		Audit: true,
 	}
 	// Pre-pass sharing: inject the program's cached insensitive result
-	// if this pipeline would otherwise solve one. NeedsPrePass is what
-	// the pipeline itself checks, so injection is exactly as valid as a
-	// fresh pre-pass solve. Requests that record provenance skip the
-	// shared result unless it, too, has provenance — witnesses must
-	// stay reconstructible. The solve mode must match as well (the
-	// pipeline enforces it, so a mismatched injection would fail the
-	// request rather than contaminate it): a serial request never
-	// reports a parallel pre-pass's Work, and vice versa.
-	// Taint jobs never share: their pre-pass solves the
-	// taint-instrumented program, not the program the cached
-	// insensitive result was solved over.
-	if first := entry.sharedFirst(); first != nil && req.Job.Taint == nil && req.Job.NeedsPrePass() &&
-		(!req.Provenance || first.ProvenanceEnabled()) &&
-		first.Workers == effectiveJobWorkers(req.Job.Workers) {
+	// wherever the pipeline's own reuse rule (CheckFirst) accepts it,
+	// so injection is exactly as valid as a fresh pre-pass solve.
+	if first := entry.sharedFirst(); first != nil && areq.CheckFirst(first) == nil {
 		areq.First = first
 		s.metrics.add(&s.metrics.c.PrePassShared)
 	}
@@ -623,14 +612,4 @@ func deadlineStage(res *analysis.Result) string {
 		return "stage frontend"
 	}
 	return fmt.Sprintf("stage %s (work=%d)", res.Stages[len(res.Stages)-1].Stage, res.Stages[len(res.Stages)-1].Work)
-}
-
-// effectiveJobWorkers mirrors the solver's normalization of
-// Job.Workers (what pta.Result.Workers reports): any serial setting —
-// 0 or 1 — is effectively 1.
-func effectiveJobWorkers(w int) int {
-	if w < 1 {
-		return 1
-	}
-	return w
 }

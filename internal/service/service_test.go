@@ -15,6 +15,7 @@ import (
 	"introspect/internal/randprog"
 	"introspect/internal/service"
 	"introspect/internal/suite"
+	"introspect/internal/taint"
 )
 
 // wallRE scrubs wall-clock fields so pta/v1 documents byte-compare.
@@ -165,6 +166,31 @@ func TestPrePassSharing(t *testing.T) {
 	}
 	if r, s := canonical(t, ref), canonical(t, shared); r != s {
 		t.Errorf("shared pre-pass changed the response:\nref    %s\nshared %s", r, s)
+	}
+}
+
+// TestTaintPrePassNotShared: a taint job's pre-pass solves the
+// taint-instrumented copy of the program, so it must not be offered to
+// later requests for the plain program — injecting it would fail their
+// pre-pass stage on the program check.
+func TestTaintPrePassNotShared(t *testing.T) {
+	src, err := os.ReadFile("../../examples/ptalint/taintdemo.mj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service.MustNew(service.Config{Workers: 1})
+	spec := &taint.Spec{Sources: []string{"Net.fetch"}, Sinks: []string{"Net.publish"}, Sanitizers: []string{"Net.scrub"}}
+	for _, job := range []analysis.Job{
+		{Spec: "insens", Taint: spec},
+		{Spec: "2objH-IntroA", Taint: spec},
+		{Spec: "2objH-IntroA"},
+	} {
+		if _, serr := svc.Analyze(context.Background(), service.Request{Source: string(src), Job: job, Budget: -1}); serr != nil {
+			t.Fatalf("%s (taint %v): %v", job.Spec, job.Taint != nil, serr)
+		}
+	}
+	if m := svc.Metrics(); m.PrePassShared != 0 {
+		t.Errorf("pre_pass_shared = %d, want 0 (only taint runs preceded the plain one)", m.PrePassShared)
 	}
 }
 
