@@ -215,6 +215,7 @@ func NewPipeline(req *Request) (*Pipeline, error) {
 // checked when the pre-pass stage runs, where that program is known.
 func (req *Request) CheckFirst(first *pta.Result) error {
 	_, sel, err := resolveJob(req.Job, req.Selector)
+	workers := effectiveWorkers(req.Job.Workers)
 	switch {
 	case err != nil:
 		return err
@@ -226,9 +227,8 @@ func (req *Request) CheckFirst(first *pta.Result) error {
 		return errors.New("analysis: Request.First is an incomplete result")
 	case req.Provenance && !first.ProvenanceEnabled():
 		return errors.New("analysis: Request.First records no provenance, which this request needs")
-	case first.Workers != effectiveWorkers(req.Job.Workers):
-		return fmt.Errorf("analysis: Request.First was solved with %d workers, this job uses %d",
-			first.Workers, effectiveWorkers(req.Job.Workers))
+	case first.Workers != workers:
+		return fmt.Errorf("analysis: Request.First was solved with %d workers, this job uses %d", first.Workers, workers)
 	}
 	return nil
 }

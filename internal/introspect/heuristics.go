@@ -11,9 +11,8 @@ import (
 // (i.e. analyze context-insensitively in the second pass), from the
 // metrics of the first pass. Implementations are the paper's Heuristic
 // A and Heuristic B; both are threshold-tunable, providing the paper's
-// scalability "dial". Both, like any custom Combo, select through
-// Combo.Select, the one clause loop that turns metrics into a
-// refinement.
+// scalability "dial". Both select through Combo.Select, the one
+// clause loop that turns metrics into a refinement.
 type Heuristic interface {
 	// Name identifies the heuristic for display ("IntroA", "IntroB").
 	Name() string
